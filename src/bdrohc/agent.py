@@ -20,6 +20,7 @@ from .core import ACTION_COUNT, ACTIONS, CompressorAction, HeaderType
 from .env import (
     NO_FEEDBACK,
     PAD_ACTION,
+    BatchObservation,
     EnvConfig,
     Observation,
     Policy,
@@ -317,6 +318,8 @@ def run_training(
     switches = dict()
     if env_schedule:
         for ep, cfg in env_schedule:
+            if not 0 <= int(ep) < episodes:
+                raise ValueError(f"env_schedule episode {ep} lies outside 0..{episodes - 1}")
             switches[int(ep)] = cfg
 
     root = as_seed_sequence(seed)
@@ -442,6 +445,8 @@ class AgentPolicy(Policy):
         self._rng = None
         self._window = None
         self._prev_action = None
+        self._windows = None
+        self._prev_batch = None
 
     def reset(self, rng) -> None:
         self._rng = rng
@@ -458,9 +463,41 @@ class AgentPolicy(Policy):
         self._prev_action = ACTIONS[idx]
         return ACTIONS[idx]
 
+    def reset_batch(self, rollouts: int) -> None:
+        self._windows = None
+        self._prev_batch = None
 
-def save_checkpoint(path, params: MlpParams, agent_cfg: AgentConfig, episode: int, epsilon: float) -> None:
-    """Parameter dump plus a JSON sidecar describing how it was trained."""
+    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+        """Windows are kept and encoded per rollout, scored by one
+        forward_batch; a rollout explores when u < epsilon, and then
+        u / epsilon picks its action uniformly."""
+        rows = obs.rows()
+        if self._windows is None:
+            self._windows = [HistoryWindow.initial(o, self.spec) for o in rows]
+        else:
+            self._windows = [
+                window.push(o, ACTIONS[a])
+                for window, o, a in zip(self._windows, rows, self._prev_batch.tolist())
+            ]
+        x = np.stack([encode(window, self.spec) for window in self._windows])
+        idx = np.argmax(forward_batch(self.params, x), axis=1)
+        if self.epsilon > 0.0:
+            pick = np.minimum((u / self.epsilon * ACTION_COUNT).astype(np.int64), ACTION_COUNT - 1)
+            idx = np.where(u < self.epsilon, pick, idx)
+        self._prev_batch = idx
+        return idx
+
+
+def save_checkpoint(
+    path,
+    params: MlpParams,
+    agent_cfg: AgentConfig,
+    episode: int,
+    epsilon: float,
+    spec: EncoderSpec | None = None,
+) -> None:
+    """Parameter dump plus a JSON sidecar describing how it was trained;
+    with spec, the sidecar also records the encoded input layout."""
     save_params(params, path)
     meta = {
         "agent": asdict(agent_cfg),
@@ -468,13 +505,16 @@ def save_checkpoint(path, params: MlpParams, agent_cfg: AgentConfig, episode: in
         "epsilon": epsilon,
         "widths": list(params.widths),
     }
+    if spec is not None:
+        meta["encoder"] = asdict(spec)
     with open(str(path) + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_checkpoint(path):
-    """Returns (params, AgentConfig, metadata dict)."""
+    """Returns (params, AgentConfig, metadata dict); metadata["encoder"]
+    holds the EncoderSpec fields when the checkpoint recorded them."""
     params = load_params(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)

@@ -6,6 +6,12 @@ CO7 whenever the current header flow is incompressible.  The exact oracle
 enumerates every action sequence and stochastic branch of a tiny
 undelayed, noiselessly observed Gilbert-Elliot instance and returns the
 best achievable discounted value.
+
+Monte-Carlo values come from rollouts run in lockstep on BatchGeEnv, so
+they exist for the Gilbert-Elliot channel only.  One environment and one
+policy generator are spawned from the seed; each draws its uniforms one
+row per rollout, in chunks of rollouts, so rollout i gets the same noise
+whatever the number of rollouts.
 """
 
 from __future__ import annotations
@@ -23,7 +29,15 @@ from .core import (
     HeaderType,
     decompressor_step,
 )
-from .env import EnvConfig, Observation, Policy, RohcEnv, as_seed_sequence
+from .env import (
+    NO_FEEDBACK,
+    BatchGeEnv,
+    BatchObservation,
+    EnvConfig,
+    Observation,
+    Policy,
+    as_seed_sequence,
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +88,23 @@ class KtPolicy(Policy):
             self._latest = obs.z_d
         return kt_policy(self._latest, obs.source_window[0], self.cfg, self._rng)
 
+    def reset_batch(self, rollouts: int) -> None:
+        self._latest_batch = np.full(rollouts, NO_FEEDBACK)
+
+    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+        """kt_policy over every rollout; NO_FEEDBACK marks none seen yet."""
+        cfg = self.cfg
+        latest = np.where(obs.z_d != NO_FEEDBACK, obs.z_d, self._latest_batch)
+        self._latest_batch = latest
+        header = np.select(
+            [latest == NO_FEEDBACK, latest <= cfg.w - 1, latest == cfg.w],
+            [HeaderType.IR, cfg.fc_header, cfg.rc_header],
+            cfg.nc_header,
+        )
+        upgrade = (obs.source_window[:, 0] == 0) & (header == HeaderType.CO3)
+        header = np.where(upgrade, HeaderType.CO7, header)
+        return 2 * header + (u < cfg.feedback_prob)
+
 
 class FixedPolicy(Policy):
     """Same header every slot, never requests feedback."""
@@ -84,6 +115,9 @@ class FixedPolicy(Policy):
     def act(self, obs: Observation) -> CompressorAction:
         return self.action
 
+    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+        return np.full(len(u), self.action.index)
+
 
 class RandomPolicy(Policy):
     def reset(self, rng) -> None:
@@ -91,6 +125,9 @@ class RandomPolicy(Policy):
 
     def act(self, obs: Observation) -> CompressorAction:
         return ACTIONS[int(self._rng.integers(ACTION_COUNT))]
+
+    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+        return (u * ACTION_COUNT).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -204,23 +241,53 @@ def exact_oracle(cfg: EnvConfig, horizon: int, start=None) -> OracleResult:
     return OracleResult(float(q[best]), ACTIONS[best])
 
 
-def discounted_return(policy: Policy, cfg: EnvConfig, steps: int, seed) -> float:
-    """Discounted return of one rollout of `steps` slots."""
-    env_ss, policy_ss = as_seed_sequence(seed).spawn(2)
-    env = RohcEnv(cfg)
-    obs = env.reset(env_ss)
-    policy.reset(np.random.default_rng(policy_ss))
-    total = 0.0
+def lockstep_returns(policy: Policy, cfg: EnvConfig, env_noise, policy_noise) -> np.ndarray:
+    """Discounted return of each of N rollouts run in lockstep on pre-drawn
+    uniforms: env_noise is (N, 3 + 5 * steps) in BatchGeEnv's draw order,
+    policy_noise is (N, steps), one uniform per rollout and slot."""
+    rollouts, steps = policy_noise.shape
+    width = BatchGeEnv.RESET_DRAWS + BatchGeEnv.STEP_DRAWS * steps
+    if env_noise.shape != (rollouts, width):
+        raise ValueError(f"env_noise must have shape {(rollouts, width)}, got {env_noise.shape}")
+    env = BatchGeEnv(cfg)
+    obs = env.reset(env_noise[:, : BatchGeEnv.RESET_DRAWS])
+    policy.reset_batch(rollouts)
+    total = np.zeros(rollouts)
     weight = 1.0
-    for _ in range(steps):
-        outcome = env.step(policy.act(obs))
-        total += weight * outcome.reward
+    for t in range(steps):
+        start = BatchGeEnv.RESET_DRAWS + BatchGeEnv.STEP_DRAWS * t
+        actions = policy.act_batch(obs, policy_noise[:, t])
+        obs, reward = env.step(actions, env_noise[:, start : start + BatchGeEnv.STEP_DRAWS])
+        total += weight * reward
         weight *= cfg.discount
-        obs = outcome.observation
     return total
 
 
+# Uniforms drawn per chunk of rollouts, which bounds the noise held at once.
+_CHUNK_UNIFORMS = 1 << 16
+
+
+def rollout_returns(policy: Policy, cfg: EnvConfig, steps: int, rollouts: int, seed) -> np.ndarray:
+    """Discounted returns of `rollouts` independent rollouts of `steps`
+    slots, drawn as the module docstring describes."""
+    if rollouts < 1:
+        raise ValueError("rollouts must be >= 1")
+    env_ss, policy_ss = as_seed_sequence(seed).spawn(2)
+    env_rng = np.random.default_rng(env_ss)
+    policy_rng = np.random.default_rng(policy_ss)
+    width = BatchGeEnv.RESET_DRAWS + BatchGeEnv.STEP_DRAWS * steps
+    per_chunk = max(1, _CHUNK_UNIFORMS // (width + steps))
+    chunks = []
+    for first in range(0, rollouts, per_chunk):
+        n = min(per_chunk, rollouts - first)
+        chunks.append(
+            lockstep_returns(
+                policy, cfg, env_rng.random((n, width)), policy_rng.random((n, steps))
+            )
+        )
+    return np.concatenate(chunks)
+
+
 def mc_discounted_value(policy: Policy, cfg: EnvConfig, steps: int, rollouts: int, seed) -> float:
-    """Monte Carlo mean of discounted_return over independent rollouts."""
-    seeds = as_seed_sequence(seed).spawn(rollouts)
-    return float(np.mean([discounted_return(policy, cfg, steps, s) for s in seeds]))
+    """Monte Carlo mean of rollout_returns."""
+    return float(np.mean(rollout_returns(policy, cfg, steps, rollouts, seed)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import harness
 from .agent import AgentPolicy, EncoderSpec, run_training, save_checkpoint, load_checkpoint
@@ -61,9 +62,36 @@ def _cmd_train(args, cfg) -> int:
     harness.write_curve_csv(out, result)
     ckpt = out + ".params"
     epsilon = result.episode_epsilon[-1] if result.episode_epsilon else agent_cfg.epsilon_init
-    save_checkpoint(ckpt, result.params, agent_cfg, episodes, epsilon)
+    spec = EncoderSpec.for_env(env_cfg, agent_cfg)
+    save_checkpoint(ckpt, result.params, agent_cfg, episodes, epsilon, spec)
     print(f"wrote {out} and checkpoint {ckpt}")
     return 0
+
+
+def _layout_keys(fields: dict) -> dict:
+    """The EncoderSpec fields a config sets, as config keys and values; the
+    history length comes from the checkpoint's own agent config."""
+    return {
+        "env.channel": "hmm" if fields["hmm"] else "ge",
+        "env.w": fields["w"],
+        "env.d": fields["delay"],
+    }
+
+
+def _check_checkpoint_layout(recorded, spec: EncoderSpec, input_width: int) -> None:
+    """Refuse a checkpoint whose encoded input layout differs from the one
+    the config builds.  Sidecars written before the layout was recorded
+    are checked by input width alone."""
+    if recorded is not None:
+        config = _layout_keys(asdict(spec))
+        for key, value in _layout_keys(recorded).items():
+            if value != config[key]:
+                raise ValueError(f"checkpoint has {key} = {value}, config has {key} = {config[key]}")
+    if input_width != spec.input_len:
+        raise ValueError(
+            f"checkpoint input width {input_width} does not match the "
+            f"config's encoded window width {spec.input_len}"
+        )
 
 
 def _eval_policy_for(cfg, args):
@@ -73,11 +101,13 @@ def _eval_policy_for(cfg, args):
     if name == "rl":
         ckpt = cfg["run.checkpoint"]
         if ckpt:
-            params, agent_cfg, _ = load_checkpoint(ckpt)
+            params, agent_cfg, meta = load_checkpoint(ckpt)
         else:
             result = run_training(env_cfg, agent_cfg, int(cfg["run.m"]), args.seed)
-            params = result.params
-        return AgentPolicy(params, EncoderSpec.for_env(env_cfg, agent_cfg))
+            params, meta = result.params, {}
+        spec = EncoderSpec.for_env(env_cfg, agent_cfg)
+        _check_checkpoint_layout(meta.get("encoder"), spec, params.widths[0])
+        return AgentPolicy(params, spec)
     if name == "kt":
         return KtPolicy(harness.make_kt_config(cfg))
     if name == "random":

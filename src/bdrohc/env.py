@@ -27,6 +27,7 @@ from .channels import (
     HmmChannelConfig,
     ObsNoiseConfig,
     ge_init,
+    ge_stationary,
     ge_step,
     ge_transmission,
     hmm_init,
@@ -212,15 +213,154 @@ class RohcEnv:
         )
 
 
+@dataclass(frozen=True)
+class BatchObservation:
+    """Observations of N lockstep rollouts, one row per rollout; the fields
+    are those of Observation, source_window an (N, delay+1) array."""
+
+    z_t: np.ndarray
+    z_h: np.ndarray
+    z_d: np.ndarray
+    source_window: np.ndarray
+
+    def rows(self) -> list[Observation]:
+        return [
+            Observation(t, h, d, tuple(s))
+            for t, h, d, s in zip(
+                self.z_t.tolist(),
+                self.z_h.tolist(),
+                self.z_d.tolist(),
+                self.source_window.tolist(),
+            )
+        ]
+
+
+def _decompressor_table(w: int) -> np.ndarray:
+    """next_level[level, header, tx_ok, compressible], filled from
+    decompressor_step itself."""
+    table = np.empty((w + 2, len(HeaderType), 2, 2), dtype=np.int64)
+    for v in range(w + 2):
+        state = DecompressorState(v, w)
+        for header in HeaderType:
+            for tx in (0, 1):
+                for comp in (0, 1):
+                    table[v, header, tx, comp] = decompressor_step(state, header, tx, comp).value
+    return table
+
+
+class BatchGeEnv:
+    """N Gilbert-Elliot episodes of RohcEnv run in lockstep on pre-drawn
+    uniforms, held as one array per state component.
+
+    reset takes an (N, RESET_DRAWS) block: initial channel state, channel
+    observation flip, arrival observation flip.  step takes one action
+    index per rollout and an (N, STEP_DRAWS) block: channel step,
+    transmission, channel observation flip, source bit, arrival observation
+    flip.  That is the order in which RohcEnv draws them, so a row holding
+    the stream of np.random.default_rng(s) reproduces RohcEnv.reset(s)
+    and the steps after it exactly.
+    """
+
+    RESET_DRAWS = 3
+    STEP_DRAWS = 5
+
+    def __init__(self, cfg: EnvConfig):
+        if cfg.is_hmm:
+            raise ValueError(
+                "lockstep rollouts require the Gilbert-Elliot channel "
+                "(env.channel = ge), not the hmm fading channel"
+            )
+        ge = cfg.channel
+        lengths = cfg.lengths
+        self.cfg = cfg
+        self._p_bad = ge_stationary(ge)
+        # success probability by [channel state (0 bad, 1 good), header]
+        base = np.array([[ge.bad_success], [ge.good_success]])
+        self._p_tx = np.clip(base * np.array(ge.header_scale), 0.0, 1.0)
+        self._share = np.array(
+            [
+                lengths.payload_bits / (lengths.payload_bits + lengths.header_bits(h))
+                for h in HeaderType
+            ]
+        )
+        self._next_level = _decompressor_table(cfg.w)
+        self._p_one = np.array(cfg.source.p_one)
+        self._src_mask = 2**cfg.source.order - 1
+        self._clock = 0
+
+    def reset(self, u: np.ndarray) -> BatchObservation:
+        cfg = self.cfg
+        n = u.shape[0]
+        self._clock = 0
+        self._level = np.full(n, cfg.w + 1)
+        # the source history as an integer: bit k is the bit k slots back
+        self._src_history = np.full(n, self._src_mask)
+        self._src_window = np.ones((n, cfg.delay + 1), dtype=np.int64)
+        self._actions = np.full((n, cfg.delay + 1), PAD_ACTION.index)
+        self._channel = (u[:, 0] >= self._p_bad).astype(np.int64)
+        z_h = self._channel ^ (u[:, 1] < cfg.noise.eps_h)
+        z_t = (u[:, 2] < cfg.noise.eps_t).astype(np.int64)
+        return BatchObservation(z_t, z_h, np.full(n, NO_FEEDBACK), self._src_window)
+
+    def step(self, actions: np.ndarray, u: np.ndarray) -> tuple[BatchObservation, np.ndarray]:
+        """Advance every rollout one slot; returns the observations and the
+        rewards."""
+        cfg = self.cfg
+        d = cfg.delay
+        if self._clock >= cfg.horizon:
+            raise RuntimeError(f"episode horizon {cfg.horizon} exhausted")
+
+        # line[:, k] is the action taken k slots back, this slot's first;
+        # an action index is header * 2 + feedback flag
+        line = np.concatenate((actions[:, None], self._actions), axis=1)
+        self._actions = line[:, : d + 1]
+        header = line[:, d] >> 1
+        charged = line[:, d + 1] & 1
+        asked = line[:, d - 1 if d >= 1 else 0] & 1
+
+        stay_good = u[:, 0] >= cfg.channel.good_to_bad
+        go_good = u[:, 0] < cfg.channel.bad_to_good
+        self._channel = np.where(self._channel == 1, stay_good, go_good).astype(np.int64)
+        tx_ok = (u[:, 1] < self._p_tx[self._channel, header]).astype(np.int64)
+        z_h = self._channel ^ (u[:, 2] < cfg.noise.eps_h)
+
+        src_bit = self._src_window[:, d]
+        self._level = self._next_level[self._level, header, tx_ok, src_bit]
+        reward = np.where(self._level == 0, self._share[header], 0.0)
+        reward -= cfg.feedback_penalty * charged
+
+        new_bit = (u[:, 3] < self._p_one[self._src_history]).astype(np.int64)
+        self._src_history = ((self._src_history << 1) | new_bit) & self._src_mask
+        self._src_window = np.concatenate(
+            (new_bit[:, None], self._src_window[:, :-1]), axis=1
+        )
+
+        z_d = np.where(asked == 1, self._level, NO_FEEDBACK)
+        z_t = tx_ok ^ (u[:, 4] < cfg.noise.eps_t)
+        self._clock += 1
+        return BatchObservation(z_t, z_h, z_d, self._src_window), reward
+
+
 class Policy:
     """Minimal rollout interface: reset once per episode, then act on each
-    observation in turn.  Stateful policies keep their history themselves."""
+    observation in turn.  Stateful policies keep their history themselves.
+
+    The batched pair drives N lockstep rollouts of BatchGeEnv: act_batch
+    gets their observations and one uniform per rollout for the policy's
+    own randomness, and returns one action index per rollout.
+    """
 
     def reset(self, rng) -> None:  # pragma: no cover - trivial default
         pass
 
     def act(self, obs: Observation) -> CompressorAction:
         raise NotImplementedError
+
+    def reset_batch(self, rollouts: int) -> None:
+        pass
+
+    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError(f"{type(self).__name__} has no batched act")
 
 
 _TRACE_COLUMNS = (

@@ -416,6 +416,18 @@ def adapt_experiment(cfg: dict, seed: int, out_path=None):
     """Train once while the channel parameter switches mid-run, without
     resetting the network; returns the per-episode training result."""
     schedule = parse_adapt_schedule(cfg)
+    episodes = int(cfg["run.m"])
+    if schedule and cfg["env.channel"] == "hmm":
+        raise ValueError(
+            "adapt.schedule switches ge.eps_b, which the hmm channel does not "
+            "use; adapt runs need env.channel = ge"
+        )
+    for episode, _ in schedule:
+        if not 0 <= episode < episodes:
+            raise ValueError(
+                f"adapt.schedule episode {episode} lies outside 0..{episodes - 1} "
+                f"(run.m = {episodes})"
+            )
     env_cfg = make_env_config(cfg)
     agent_cfg = make_agent_config(cfg)
     env_schedule = []
@@ -423,7 +435,7 @@ def adapt_experiment(cfg: dict, seed: int, out_path=None):
         point = dict(cfg)
         point["ge.eps_b"] = eps_b
         env_schedule.append((episode, make_env_config(point)))
-    result = run_training(env_cfg, agent_cfg, int(cfg["run.m"]), seed, env_schedule=env_schedule)
+    result = run_training(env_cfg, agent_cfg, episodes, seed, env_schedule=env_schedule)
     if out_path is not None:
         write_curve_csv(out_path, result)
     return result

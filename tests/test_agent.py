@@ -392,6 +392,12 @@ class TestTraining:
         assert params_equal(plain.params, scheduled.params)
         assert plain.episode_rewards == scheduled.episode_rewards
 
+    @pytest.mark.parametrize("episode", [-1, 3])
+    def test_schedule_rejects_episodes_outside_the_run(self, episode):
+        cfg = ge_env(horizon=6)
+        with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+            run_training(cfg, small_agent(), 3, seed=0, env_schedule=[(episode, cfg)])
+
     def test_schedule_rejects_layout_change(self):
         cfg = ge_env(delay=4, horizon=6)
         other = ge_env(delay=2, horizon=6)
@@ -482,6 +488,18 @@ class TestCheckpoint:
         assert agent_back == agent
         assert meta["episode"] == 1
         assert meta["epsilon"] == 0.7
+
+    def test_records_encoder_layout(self, tmp_path):
+        cfg = ge_env(delay=3, horizon=4)
+        agent = small_agent()
+        trained = run_training(cfg, agent, 1, seed=8)
+        spec = EncoderSpec.for_env(cfg, agent)
+        path = tmp_path / "agent.params"
+        save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7, spec=spec)
+        _, _, meta = load_checkpoint(path)
+        assert EncoderSpec(**meta["encoder"]) == spec
+        save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7)
+        assert "encoder" not in load_checkpoint(path)[2]
 
     def test_rejects_mismatched_metadata(self, tmp_path):
         import json

@@ -2,18 +2,23 @@
 hand-derived one- and two-step values, plus an independent in-test recursion
 built on a separately transcribed one-window transition table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from bdrohc import baselines
+from bdrohc.agent import AgentConfig, AgentPolicy, EncoderSpec, mlp_config_for
 from bdrohc.baselines import (
     FixedPolicy,
     KtConfig,
     KtPolicy,
     RandomPolicy,
-    discounted_return,
     exact_oracle,
     kt_policy,
+    lockstep_returns,
     mc_discounted_value,
+    rollout_returns,
 )
 from bdrohc.channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
 from bdrohc.core import (
@@ -23,7 +28,8 @@ from bdrohc.core import (
     HeaderType,
     SourceDynamics,
 )
-from bdrohc.env import EnvConfig, Observation, run_episode
+from bdrohc.env import BatchGeEnv, BatchObservation, EnvConfig, Observation, RohcEnv, run_episode
+from bdrohc.mlp import init_params
 
 LENGTHS = HeaderLengths(20, 60, 15, 1)
 
@@ -283,15 +289,183 @@ class TestExactOracle:
         assert res.value == pytest.approx(brute, abs=1e-12)
 
 
+def noisy_cfg():
+    """Delayed, noisy observations; a second-order source and per-header
+    success scaling (clipped at 1 in the good state) exercise every table."""
+    return EnvConfig(
+        lengths=LENGTHS,
+        channel=GilbertElliotConfig(5.0, 0.2, 0.9, 0.1, header_scale=(0.8, 1.0, 1.2)),
+        noise=ObsNoiseConfig(0.1, 0.2),
+        source=SourceDynamics(2, (0.9, 0.2, 0.7, 0.95)),
+        w=5,
+        delay=4,
+        horizon=100,
+    )
+
+
+def scalar_returns(policy, cfg, steps, seeds):
+    """Reference: RohcEnv one rollout at a time, rollout i seeded by seeds[i]."""
+    out = []
+    for seed in seeds:
+        env = RohcEnv(cfg)
+        obs = env.reset(seed)
+        policy.reset(np.random.default_rng([seed, 1]))
+        total = 0.0
+        weight = 1.0
+        for _ in range(steps):
+            outcome = env.step(policy.act(obs))
+            total += weight * outcome.reward
+            weight *= cfg.discount
+            obs = outcome.observation
+        out.append(total)
+    return np.array(out)
+
+
+def scalar_noise(seeds, steps):
+    """Rollout i's row is the stream RohcEnv.reset(seeds[i]) draws from."""
+    return np.stack([np.random.default_rng(s).random(3 + 5 * steps) for s in seeds])
+
+
+class TestLockstepReturns:
+    @pytest.mark.parametrize("make_cfg", [tiny_cfg, noisy_cfg], ids=["tiny", "noisy-d4"])
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            FixedPolicy(HeaderType.IR),
+            FixedPolicy(HeaderType.CO7),
+            KtPolicy(KtConfig(5, feedback_prob=0.0)),
+            KtPolicy(KtConfig(5, feedback_prob=1.0)),
+        ],
+        ids=["fixed-ir", "fixed-co7", "kt-never", "kt-always"],
+    )
+    def test_equals_scalar_env_on_same_uniforms(self, make_cfg, policy):
+        cfg = make_cfg()
+        if isinstance(policy, KtPolicy):
+            policy = KtPolicy(KtConfig(cfg.w, feedback_prob=policy.cfg.feedback_prob))
+        steps = 25
+        seeds = range(150)
+        want = scalar_returns(policy, cfg, steps, seeds)
+        policy_noise = np.random.default_rng(0).random((len(seeds), steps))
+        got = lockstep_returns(policy, cfg, scalar_noise(seeds, steps), policy_noise)
+        assert np.array_equal(got, want)
+
+    def test_batched_greedy_agent_picks_scalar_actions(self):
+        cfg = noisy_cfg()
+        agent_cfg = AgentConfig(hidden_width=16, depth=3, history_extra=2)
+        spec = EncoderSpec.for_env(cfg, agent_cfg)
+        params = init_params(mlp_config_for(spec, agent_cfg), np.random.default_rng(4))
+        steps = 12
+        seeds = range(40)
+        observations, actions = [], []
+        for seed in seeds:
+            env = RohcEnv(cfg)
+            obs = env.reset(seed)
+            policy = AgentPolicy(params, spec)
+            policy.reset(None)
+            seen, taken = [], []
+            for _ in range(steps):
+                action = policy.act(obs)
+                seen.append(obs)
+                taken.append(action.index)
+                obs = env.step(action).observation
+            observations.append(seen)
+            actions.append(taken)
+        batched = AgentPolicy(params, spec)
+        batched.reset_batch(len(seeds))
+        for t in range(steps):
+            rows = [seen[t] for seen in observations]
+            obs = BatchObservation(
+                np.array([o.z_t for o in rows]),
+                np.array([o.z_h for o in rows]),
+                np.array([o.z_d for o in rows]),
+                np.array([o.source_window for o in rows]),
+            )
+            got = batched.act_batch(obs, np.ones(len(seeds)))
+            assert got.tolist() == [taken[t] for taken in actions]
+        assert len({a for taken in actions for a in taken}) > 1
+        got = lockstep_returns(
+            AgentPolicy(params, spec), cfg, scalar_noise(seeds, steps), np.ones((len(seeds), steps))
+        )
+        assert np.array_equal(got, scalar_returns(AgentPolicy(params, spec), cfg, steps, seeds))
+
+    def test_batched_agent_explores_below_epsilon(self):
+        cfg = noisy_cfg()
+        agent_cfg = AgentConfig(hidden_width=8, depth=2, history_extra=1)
+        spec = EncoderSpec.for_env(cfg, agent_cfg)
+        params = init_params(mlp_config_for(spec, agent_cfg), np.random.default_rng(1))
+        obs = BatchGeEnv(cfg).reset(np.full((7, 3), 0.5))
+        u = np.array([0.0, 0.05, 0.1, 0.2, 0.249, 0.25, 0.9])
+        greedy = AgentPolicy(params, spec)
+        greedy.reset_batch(7)
+        exploring = AgentPolicy(params, spec, epsilon=0.25)
+        exploring.reset_batch(7)
+        got = exploring.act_batch(obs, u)
+        assert got[:5].tolist() == [0, 1, 2, 4, 5]
+        assert got[5:].tolist() == greedy.act_batch(obs, u)[5:].tolist()
+
+    def test_prefix_stable_when_rollouts_are_added(self, monkeypatch):
+        cfg = noisy_cfg()
+        policy = KtPolicy(KtConfig(cfg.w, feedback_prob=0.3))
+        whole = rollout_returns(policy, cfg, 6, 40, seed=9)
+        assert np.array_equal(rollout_returns(policy, cfg, 6, 25, seed=9), whole[:25])
+        # chunks of two rollouts draw the same rows
+        monkeypatch.setattr(baselines, "_CHUNK_UNIFORMS", 2 * (3 + 5 * 6 + 6))
+        assert np.array_equal(rollout_returns(policy, cfg, 6, 31, seed=9), whole[:31])
+
+    @pytest.mark.parametrize(
+        "policy",
+        [RandomPolicy(), KtPolicy(KtConfig(5, feedback_prob=0.4))],
+        ids=["random", "kt-0.4"],
+    )
+    def test_value_agrees_with_scalar_rollouts_in_distribution(self, policy):
+        # the batched policies draw their own randomness differently, so
+        # only the law of the returns can match; a steep feedback charge
+        # makes the returns sensitive to the request rate
+        cfg = dataclasses.replace(noisy_cfg(), feedback_penalty=0.2)
+        steps = 8
+        batched = rollout_returns(policy, cfg, steps, 20_000, seed=3)
+        scalar = scalar_returns(policy, cfg, steps, range(3000))
+        se = np.hypot(batched.std() / np.sqrt(batched.size), scalar.std() / np.sqrt(scalar.size))
+        assert abs(batched.mean() - scalar.mean()) < 4.0 * se
+
+    def test_batched_random_and_kt_action_laws(self):
+        u = np.random.default_rng(2).random(60_000)
+        obs = BatchObservation(
+            np.zeros(u.size, dtype=int),
+            np.zeros(u.size, dtype=int),
+            np.full(u.size, 0),
+            np.ones((u.size, 1), dtype=int),
+        )
+        counts = np.bincount(RandomPolicy().act_batch(obs, u), minlength=6)
+        assert np.all(np.abs(counts / u.size - 1.0 / 6.0) < 0.01)
+        kt = KtPolicy(KtConfig(5, feedback_prob=0.3))
+        kt.reset_batch(u.size)
+        picked = kt.act_batch(obs, u)
+        assert np.all(picked >> 1 == HeaderType.CO3)
+        assert abs(np.mean(picked & 1) - 0.3) < 0.01
+
+    def test_rejects_fading_channel(self):
+        cfg = EnvConfig(
+            lengths=LENGTHS,
+            channel=HmmChannelConfig(0.5, 4, 2.0, 1.0),
+            noise=ObsNoiseConfig(0.1, 0.0),
+            source=SourceDynamics.constant(1),
+            w=1,
+            delay=0,
+        )
+        with pytest.raises(ValueError, match="Gilbert-Elliot"):
+            mc_discounted_value(FixedPolicy(HeaderType.IR), cfg, 3, 10, 0)
+
+
 class TestReturns:
     def test_discounted_return_geometric(self):
         cfg = perfect_cfg(horizon=100)
-        got = discounted_return(FixedPolicy(HeaderType.IR), cfg, 10, 0)
+        got = rollout_returns(FixedPolicy(HeaderType.IR), cfg, 10, 4, 0)
         expected = sum(0.25 * 0.95 ** k for k in range(10))
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx([expected] * 4, rel=1e-12)
 
     def test_mc_value_of_deterministic_env_is_exact(self):
         cfg = perfect_cfg(horizon=100)
-        single = discounted_return(FixedPolicy(HeaderType.IR), cfg, 8, 0)
+        single = rollout_returns(FixedPolicy(HeaderType.IR), cfg, 8, 1, 0)[0]
         mc = mc_discounted_value(FixedPolicy(HeaderType.IR), cfg, 8, 16, 0)
         assert mc == pytest.approx(single, rel=1e-12)

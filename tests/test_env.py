@@ -4,11 +4,12 @@ reward bookkeeping, trace export."""
 import numpy as np
 import pytest
 
-from bdrohc.channels import GilbertElliotConfig, ObsNoiseConfig
+from bdrohc.channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
 from bdrohc.core import CompressorAction, HeaderLengths, HeaderType, SourceDynamics
 from bdrohc.env import (
     NO_FEEDBACK,
     PAD_ACTION,
+    BatchGeEnv,
     EnvConfig,
     Policy,
     RohcEnv,
@@ -309,3 +310,56 @@ class TestDeterminism:
         a = run_episode(RandomPolicy(), cfg, 31)
         b = run_episode(RandomPolicy(), cfg, 32)
         assert a.alpha_c != b.alpha_c or a.sigma_t != b.sigma_t
+
+
+class TestBatchEnv:
+    def test_scalar_env_draws_three_uniforms_at_reset_then_five_per_step(self):
+        # the contract BatchGeEnv's noise layout rests on
+        steps = 7
+        env = RohcEnv(lossy_cfg(horizon=steps))
+        env.reset(12)
+        for _ in range(steps):
+            env.step(act(HeaderType.CO7, fb=True))
+        stream = np.random.default_rng(12).random(3 + 5 * steps + 1)
+        assert env._rng.random() == stream[-1]
+
+    def test_rows_follow_scalar_env_observations(self):
+        cfg = lossy_cfg(delay=2, horizon=20)
+        seeds = [3, 4, 5]
+        noise = np.stack([np.random.default_rng(s).random(3 + 5 * 20) for s in seeds])
+        batch = BatchGeEnv(cfg)
+        obs = batch.reset(noise[:, :3])
+        envs = [RohcEnv(cfg) for _ in seeds]
+        expected = [env.reset(s) for env, s in zip(envs, seeds)]
+        action = act(HeaderType.IR, fb=True)
+        for t in range(20):
+            assert obs.rows() == expected
+            u = noise[:, 3 + 5 * t : 8 + 5 * t]
+            obs, reward = batch.step(np.full(len(seeds), action.index), u)
+            outcomes = [env.step(action) for env in envs]
+            expected = [o.observation for o in outcomes]
+            assert reward.tolist() == [o.reward for o in outcomes]
+
+    def test_rejects_fading_channel(self):
+        cfg = EnvConfig(
+            lengths=LENGTHS,
+            channel=HmmChannelConfig(0.5, 4, 2.0, 1.0),
+            noise=ObsNoiseConfig(0.1, 0.0),
+            source=SourceDynamics.constant(1),
+        )
+        with pytest.raises(ValueError, match="hmm"):
+            BatchGeEnv(cfg)
+
+    def test_horizon_exhaustion_raises(self):
+        env = BatchGeEnv(perfect_cfg(horizon=1))
+        env.reset(np.zeros((2, 3)))
+        env.step(np.zeros(2, dtype=int), np.zeros((2, 5)))
+        with pytest.raises(RuntimeError):
+            env.step(np.zeros(2, dtype=int), np.zeros((2, 5)))
+
+    def test_policy_without_batched_act_is_named(self):
+        policy = ScriptPolicy([], PAD_ACTION)
+        env = BatchGeEnv(perfect_cfg())
+        obs = env.reset(np.zeros((2, 3)))
+        with pytest.raises(NotImplementedError, match="ScriptPolicy"):
+            policy.act_batch(obs, np.zeros(2))

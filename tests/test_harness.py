@@ -1,8 +1,12 @@
 """Harness tests: metric arithmetic, flat config files, presets, result
 files, the sweep/adapt drivers, and the CLI front end."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdrohc import cli
 from bdrohc.agent import run_training
@@ -121,6 +125,29 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text("env.t = 123\n")
         assert load_config(path)["env.t"] == 123
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_schema_typed_values_round_trip(self, data):
+        text_values = st.text(
+            alphabet="abcdefghijklmnopqrstuvwxyz0123456789._:,/-", max_size=12
+        )
+        schema = default_config()
+        cfg = default_config()
+        for key in data.draw(st.lists(st.sampled_from(sorted(schema)), unique=True)):
+            default = schema[key]
+            if isinstance(default, bool):
+                cfg[key] = data.draw(st.booleans())
+            elif isinstance(default, int):
+                cfg[key] = data.draw(st.integers())
+            elif isinstance(default, float):
+                cfg[key] = data.draw(st.floats(allow_nan=False))
+            else:
+                cfg[key] = data.draw(text_values)
+        text = "\n".join(f"{k} = {v}" for k, v in cfg.items())
+        back = parse_config(text)
+        assert back == cfg
+        assert all(type(back[k]) is type(schema[k]) for k in schema)
 
     def test_round_trip_through_text(self):
         cfg = default_config()
@@ -328,6 +355,17 @@ class TestDrivers:
         plain = adapt_experiment(fast_cfg(**{"run.m": 2}), seed=7)
         assert adapted.episode_rewards == plain.episode_rewards
 
+    def test_adapt_rejects_schedule_on_fading_channel(self):
+        cfg = fast_cfg(**{"run.m": 2, "env.channel": "hmm", "adapt.schedule": "1:0.4"})
+        with pytest.raises(ValueError, match="hmm channel"):
+            adapt_experiment(cfg, seed=7)
+
+    @pytest.mark.parametrize("schedule", ["2:0.4", "-1:0.4", "0:0.3,5:0.4"])
+    def test_adapt_rejects_episodes_outside_the_run(self, schedule):
+        cfg = fast_cfg(**{"run.m": 2, "adapt.schedule": schedule})
+        with pytest.raises(ValueError, match=r"outside 0\.\.1 \(run.m = 2\)"):
+            adapt_experiment(cfg, seed=7)
+
     def test_evaluation_stream_differs_from_training(self):
         # training episode seeds and the held-out stream must not collide
         a = eval_seed_for(4).generate_state(4)
@@ -424,6 +462,34 @@ class TestCli:
         out = tmp_path / "eval.csv"
         assert cli.main(["eval", "--config", str(cfg2), "--out", str(out)]) == 0
         assert read_result_csv(out)[0]["policy"] == "rl"
+
+    def test_eval_refuses_checkpoint_of_other_layout(self, tmp_path, capsys):
+        cfg = self.write_fast(tmp_path, "env.d = 4\n")
+        curve = tmp_path / "curve.csv"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(curve)]) == 0
+        ckpt = str(curve) + ".params"
+        assert json.loads((tmp_path / "curve.csv.params.json").read_text())["encoder"] == {
+            "hmm": False, "w": 5, "delay": 4, "extra": 1,
+        }
+        cfg2 = self.write_fast(tmp_path, f"env.d = 2\nrun.policy = rl\nrun.checkpoint = {ckpt}\n")
+        out = tmp_path / "eval.csv"
+        assert cli.main(["eval", "--config", str(cfg2), "--out", str(out)]) == 2
+        assert "checkpoint has env.d = 4, config has env.d = 2" in capsys.readouterr().err
+
+    def test_eval_checks_old_sidecar_by_input_width(self, tmp_path, capsys):
+        cfg = self.write_fast(tmp_path, "env.d = 4\n")
+        curve = tmp_path / "curve.csv"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(curve)]) == 0
+        ckpt = str(curve) + ".params"
+        sidecar = tmp_path / "curve.csv.params.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["encoder"]
+        sidecar.write_text(json.dumps(meta))
+        same = self.write_fast(tmp_path, f"env.d = 4\nrun.policy = rl\nrun.checkpoint = {ckpt}\n")
+        assert cli.main(["eval", "--config", str(same), "--out", str(tmp_path / "a.csv")]) == 0
+        other = self.write_fast(tmp_path, f"env.d = 2\nrun.policy = rl\nrun.checkpoint = {ckpt}\n")
+        assert cli.main(["eval", "--config", str(other), "--out", str(tmp_path / "b.csv")]) == 2
+        assert "input width" in capsys.readouterr().err
 
     def test_sweep_command(self, tmp_path, capsys):
         cfg = self.write_fast(
