@@ -3,10 +3,10 @@
 The policy input is a sliding window over the last delay + extra + 1
 observations and the delay + extra actions between them, one-hot encoded
 (the fading channel's envelope observation stays real-valued).  Training
-follows the usual pattern: epsilon-greedy rollouts into a FIFO replay
-memory of multi-step blocks, a block of minibatch SGD steps after every
-episode with the target network trailing the online one, then epsilon
-decays.
+follows the usual pattern: each episode is an epsilon-greedy rollout of
+AgentPolicy through env.rollout, cut into multi-step blocks for a FIFO
+replay memory once it ends, then a block of minibatch SGD steps with the
+target network trailing the online one, then epsilon decays.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from .env import (
     EnvConfig,
     Observation,
     Policy,
-    RohcEnv,
+    Trace,
     as_seed_sequence,
+    compute_metrics,
+    rollout,
 )
 from .mlp import (
     MlpConfig,
@@ -45,7 +47,6 @@ from .mlp import (
 class AgentConfig:
     discount: float = 0.95
     learning_rate: float = 1e-4
-    learning_rate_final: float | None = None
     epsilon_init: float = 1.0
     epsilon_decay: float = 0.995
     epsilon_floor: float = 0.05
@@ -72,12 +73,6 @@ class AgentConfig:
             raise ValueError("discount must lie in (0, 1)")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.learning_rate_final is not None and not (
-            0.0 < self.learning_rate_final <= self.learning_rate
-        ):
-            raise ValueError(
-                "learning_rate_final must lie in (0, learning_rate]"
-            )
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must lie in (0, 1]")
         if not 0.0 <= self.epsilon_floor <= 1.0:
@@ -229,12 +224,6 @@ class ReplayMemory:
             self._data[self._next] = item
             self._next = (self._next + 1) % self.capacity
 
-    def items(self) -> list:
-        """Contents oldest first."""
-        if len(self._data) < self.capacity:
-            return list(self._data)
-        return self._data[self._next :] + self._data[: self._next]
-
     def sample(self, batch_size: int, rng) -> list:
         if not self._data:
             raise ValueError("cannot sample from an empty memory")
@@ -247,39 +236,24 @@ def mlp_config_for(spec: EncoderSpec, agent_cfg: AgentConfig) -> MlpConfig:
     return MlpConfig((spec.input_len,) + hidden + (ACTION_COUNT,))
 
 
-def select_action(params: MlpParams, x, epsilon: float, rng) -> int:
-    """Epsilon-greedy over the action values; greedy ties break low."""
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(ACTION_COUNT))
-    return int(np.argmax(forward(params, x)))
-
-
-def td_target(target_params: MlpParams, reward: float, next_x, discount: float) -> float:
-    """Bootstrapped target from the frozen network."""
-    return float(reward + discount * np.max(forward(target_params, next_x)))
-
-
 def train_step(
     params: MlpParams,
     target_params: MlpParams,
     batch,
     eta: float,
-    discount: float,
     double_argmax: bool = False,
 ):
     """One minibatch SGD step on the mean squared TD error.
 
-    batch entries are (x, action index, reward, next x).  The frozen
-    network scores the next window; with double_argmax the online network
-    picks the next action and the frozen one evaluates it.
+    batch entries are (x, action index, reward, next x, bootstrap discount).
+    The frozen network scores the next window; with double_argmax the
+    online network picks the next action and the frozen one evaluates it.
     """
     x = np.stack([b[0] for b in batch])
     actions = np.array([b[1] for b in batch], dtype=int)
     rewards = np.array([b[2] for b in batch], dtype=float)
     next_x = np.stack([b[3] for b in batch])
-    # Five-field transitions carry their own bootstrap discount (multi-step
-    # blocks of varying length); four-field ones use the scalar.
-    disc = np.array([b[4] if len(b) > 4 else discount for b in batch])
+    disc = np.array([b[4] for b in batch])
 
     q_next = forward_batch(target_params, next_x)
     if double_argmax:
@@ -302,6 +276,37 @@ class TrainingResult:
     episode_epsilon: list[float] = field(default_factory=list)
 
 
+def _blocks(inputs, actions, greedy, rewards, multi_step: int, discount: float) -> list:
+    """Multi-step blocks of one finished episode, each (input, action index,
+    discounted reward sum, bootstrap input, bootstrap discount), in the
+    order they close and oldest first among those closing together.
+    inputs holds one entry per slot plus the input after the last slot.
+
+    A block ends after multi_step slots, or early at the first non-greedy
+    action -- bootstrapping there keeps exploration's windfalls out of the
+    reward sum for the action being scored.  Blocks still open after the
+    last slot are dropped, at most multi_step - 1 of them.
+    """
+    blocks = []
+
+    def emit(s: int, end: int) -> None:
+        ret = 0.0
+        for k in range(end - 1, s - 1, -1):
+            ret = rewards[k] + discount * ret
+        blocks.append((inputs[s], actions[s], ret, inputs[end], discount ** (end - s)))
+
+    start = 0
+    for t in range(len(rewards)):
+        if not greedy[t]:
+            for s in range(start, t):
+                emit(s, t)
+            start = t
+        if t + 1 - start == multi_step:
+            emit(start, t + 1)
+            start += 1
+    return blocks
+
+
 def run_training(
     env_cfg: EnvConfig,
     agent_cfg: AgentConfig,
@@ -310,6 +315,13 @@ def run_training(
     env_schedule=None,
 ) -> TrainingResult:
     """Full training loop.
+
+    Each episode is one rollout of an AgentPolicy over the online network,
+    recorded in a Trace whose compute_metrics give the curves.  Once the
+    episode ends its slots are cut into multi-step blocks for the replay
+    memory; blocks still open at the horizon are dropped, at most
+    multi_step - 1 per episode.  Then come grad_steps minibatch SGD steps,
+    each followed by a soft target update, and epsilon decays.
 
     env_schedule optionally remaps the environment config between episodes:
     a sequence of (episode index, EnvConfig) pairs, applied when that
@@ -321,6 +333,16 @@ def run_training(
             if not 0 <= int(ep) < episodes:
                 raise ValueError(f"env_schedule episode {ep} lies outside 0..{episodes - 1}")
             switches[int(ep)] = cfg
+    spec = EncoderSpec.for_env(env_cfg, agent_cfg)
+    for where, cfg in [("env_cfg", env_cfg)] + [
+        (f"env_schedule episode {ep}", c) for ep, c in switches.items()
+    ]:
+        if cfg.horizon < 1:
+            raise ValueError(
+                f"{where} has horizon {cfg.horizon}; a training episode needs at least 1 slot"
+            )
+        if EncoderSpec.for_env(cfg, agent_cfg) != spec:
+            raise ValueError("schedule must not change the encoded input layout")
 
     root = as_seed_sequence(seed)
     init_ss, explore_ss, replay_ss, episode_root = root.spawn(4)
@@ -328,142 +350,108 @@ def run_training(
     replay_rng = np.random.default_rng(replay_ss)
     episode_seeds = episode_root.spawn(episodes) if episodes else []
 
-    spec = EncoderSpec.for_env(env_cfg, agent_cfg)
     explore_slots = agent_cfg.explore_start_slots
     if explore_slots is None:
         explore_slots = spec.padded_slots
     params = init_params(mlp_config_for(spec, agent_cfg), np.random.default_rng(init_ss))
     target = params.copy()
     memory = ReplayMemory(agent_cfg.replay_capacity)
-    epsilon = agent_cfg.epsilon_init
+    policy = AgentPolicy(params, spec, agent_cfg.epsilon_init, explore_slots)
     result = TrainingResult(params)
 
     cfg = env_cfg
     for episode in range(episodes):
-        if episode in switches:
-            cfg = switches[episode]
-            spec_now = EncoderSpec.for_env(cfg, agent_cfg)
-            if spec_now != spec:
-                raise ValueError("schedule must not change the encoded input layout")
-        env = RohcEnv(cfg)
-        obs = env.reset(episode_seeds[episode])
-        window = HistoryWindow.initial(obs, spec)
-        x = encode(window, spec)
+        cfg = switches.get(episode, cfg)
+        trace = Trace()
+        inputs: list = []
+        actions: list[int] = []
+        greedy: list[bool] = []
 
-        total_reward = 0.0
-        successes = 0
-        bits = 0
-        feedbacks = 0
-        # Transitions are stored as multi-step blocks: (window, first action,
-        # discounted reward sum, bootstrap window, bootstrap discount).  A
-        # block ends after multi_step slots, or early at the first non-greedy
-        # action -- bootstrapping there keeps exploration's windfalls out of
-        # the reward sum for the action being scored.
-        pending: list = []
+        def record(t, obs, outcome) -> None:
+            trace.append(t, obs, outcome)
+            inputs.append(policy.x)
+            actions.append(policy.action.index)
+            greedy.append(policy.greedy)
 
-        def flush(count: int, boot_x) -> None:
-            # Emit the oldest `count` blocks, each bootstrapping at boot_x.
-            # A block's return spans every reward still pending for it.
-            for _ in range(count):
-                ret = 0.0
-                for k in range(len(pending) - 1, -1, -1):
-                    ret = pending[k][2] + agent_cfg.discount * ret
-                x0, a0, _ = pending.pop(0)
-                memory.push((x0, a0, ret, boot_x, agent_cfg.discount ** (len(pending) + 1)))
+        last_obs = rollout(policy, cfg, episode_seeds[episode], explore_rng, record)
+        inputs.append(encode(policy.window.push(last_obs, policy.action), spec))
+        for block in _blocks(
+            inputs, actions, greedy, trace.reward, agent_cfg.multi_step, agent_cfg.discount
+        ):
+            memory.push(block)
 
-        for slot in range(cfg.horizon):
-            # Exploring starts: reset-adjacent windows recur only once per
-            # episode, so force uniform actions there to keep every action
-            # head covered.
-            eps_now = 1.0 if slot < explore_slots else epsilon
-            q_here = forward(params, x)
-            if eps_now > 0.0 and explore_rng.random() < eps_now:
-                a_idx = int(explore_rng.integers(ACTION_COUNT))
-            else:
-                a_idx = int(np.argmax(q_here))
-            if pending and a_idx != int(np.argmax(q_here)):
-                flush(len(pending), x)
-            outcome = env.step(ACTIONS[a_idx])
-            window = window.push(outcome.observation, ACTIONS[a_idx])
-            x_next = encode(window, spec)
-            pending.append((x, a_idx, outcome.reward))
-            if len(pending) == agent_cfg.multi_step:
-                flush(1, x_next)
-            x = x_next
-
-            total_reward += outcome.reward
-            diag = outcome.diagnostics
-            successes += int(diag.decode_success)
-            bits += cfg.lengths.payload_bits + cfg.lengths.header_bits(diag.applied_header)
-            feedbacks += diag.penalized_feedback
-
-        lr = agent_cfg.learning_rate
-        if agent_cfg.learning_rate_final is not None and episodes > 1:
-            # Geometric anneal: early episodes move fast, late ones polish.
-            ratio = agent_cfg.learning_rate_final / agent_cfg.learning_rate
-            lr = agent_cfg.learning_rate * ratio ** (episode / (episodes - 1))
-        # The stored return already covers multi_step slots, so the
-        # bootstrap term is discounted by gamma**multi_step.
-        boot = agent_cfg.discount**agent_cfg.multi_step
         for _ in range(agent_cfg.grad_steps):
             if len(memory) == 0:
                 break
             batch = memory.sample(agent_cfg.batch_size, replay_rng)
             params, _ = train_step(
-                params,
-                target,
-                batch,
-                lr,
-                boot,
-                agent_cfg.double_argmax,
+                params, target, batch, agent_cfg.learning_rate, agent_cfg.double_argmax
             )
-            if agent_cfg.target_tau < 1.0:
-                params_lerp(target, params, agent_cfg.target_tau, out=target)
-        if agent_cfg.target_tau >= 1.0:
-            target = params.copy()
+            params_lerp(target, params, agent_cfg.target_tau, out=target)
+        policy.params = params
 
-        horizon = max(cfg.horizon, 1)
-        result.episode_rewards.append(total_reward / horizon)
-        result.episode_efficiency.append(
-            cfg.lengths.payload_bits * successes / bits if bits else 0.0
-        )
-        result.episode_feedback_rate.append(feedbacks / horizon)
-        result.episode_epsilon.append(epsilon)
-        epsilon = max(epsilon * agent_cfg.epsilon_decay, agent_cfg.epsilon_floor)
+        metrics = compute_metrics(trace, cfg.lengths)
+        result.episode_rewards.append(metrics.mean_reward)
+        result.episode_efficiency.append(metrics.transmission_efficiency)
+        result.episode_feedback_rate.append(metrics.feedback_rate)
+        result.episode_epsilon.append(policy.epsilon)
+        policy.epsilon = max(policy.epsilon * agent_cfg.epsilon_decay, agent_cfg.epsilon_floor)
 
     result.params = params
     return result
 
 
 class AgentPolicy(Policy):
-    """Rollout wrapper around a trained network; epsilon 0 means greedy."""
+    """Rollout wrapper around a network; epsilon 0 means greedy.
 
-    def __init__(self, params: MlpParams, spec: EncoderSpec, epsilon: float = 0.0):
+    Each act scores the window once and acts epsilon-greedily, with epsilon
+    1 on the first explore_slots slots of an episode: reset-adjacent
+    windows recur only once per episode, so exploring starts keep every
+    action head covered there.  Greedy ties break low, and a greedy act
+    draws no randomness.  The latest window, its encoded input x, the action
+    taken and whether it was the greedy one stay on the instance.
+    """
+
+    def __init__(
+        self, params: MlpParams, spec: EncoderSpec, epsilon: float = 0.0, explore_slots: int = 0
+    ):
         self.params = params
         self.spec = spec
         self.epsilon = epsilon
+        self.explore_slots = explore_slots
         self._rng = None
-        self._window = None
-        self._prev_action = None
+        self._slot = 0
+        self.window = None
+        self.x = None
+        self.action = None
+        self.greedy = True
         self._windows = None
         self._prev_batch = None
 
     def reset(self, rng) -> None:
         self._rng = rng
-        self._window = None
-        self._prev_action = None
+        self._slot = 0
+        self.window = None
+        self.action = None
 
     def act(self, obs: Observation) -> CompressorAction:
-        if self._window is None:
-            self._window = HistoryWindow.initial(obs, self.spec)
+        if self.window is None:
+            self.window = HistoryWindow.initial(obs, self.spec)
         else:
-            self._window = self._window.push(obs, self._prev_action)
-        x = encode(self._window, self.spec)
-        idx = select_action(self.params, x, self.epsilon, self._rng)
-        self._prev_action = ACTIONS[idx]
-        return ACTIONS[idx]
+            self.window = self.window.push(obs, self.action)
+        self.x = encode(self.window, self.spec)
+        best = int(np.argmax(forward(self.params, self.x)))
+        epsilon = 1.0 if self._slot < self.explore_slots else self.epsilon
+        self._slot += 1
+        idx = best
+        if epsilon > 0.0 and self._rng.random() < epsilon:
+            idx = int(self._rng.integers(ACTION_COUNT))
+        self.greedy = idx == best
+        self.action = ACTIONS[idx]
+        return self.action
 
     def reset_batch(self, rollouts: int) -> None:
+        self._slot = 0
         self._windows = None
         self._prev_batch = None
 
@@ -481,9 +469,11 @@ class AgentPolicy(Policy):
             ]
         x = np.stack([encode(window, self.spec) for window in self._windows])
         idx = np.argmax(forward_batch(self.params, x), axis=1)
-        if self.epsilon > 0.0:
-            pick = np.minimum((u / self.epsilon * ACTION_COUNT).astype(np.int64), ACTION_COUNT - 1)
-            idx = np.where(u < self.epsilon, pick, idx)
+        epsilon = 1.0 if self._slot < self.explore_slots else self.epsilon
+        self._slot += 1
+        if epsilon > 0.0:
+            pick = np.minimum((u / epsilon * ACTION_COUNT).astype(np.int64), ACTION_COUNT - 1)
+            idx = np.where(u < epsilon, pick, idx)
         self._prev_batch = idx
         return idx
 
@@ -518,6 +508,9 @@ def load_checkpoint(path):
     params = load_params(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
+    # learning_rate_final (a learning-rate anneal) is no longer a field;
+    # checkpoints written with it still load.
+    meta["agent"].pop("learning_rate_final", None)
     agent_cfg = AgentConfig(**meta["agent"])
     if list(params.widths) != meta["widths"]:
         raise ValueError("checkpoint metadata does not match parameter shapes")
@@ -536,7 +529,5 @@ __all__ = [
     "mlp_config_for",
     "run_training",
     "save_checkpoint",
-    "select_action",
-    "td_target",
     "train_step",
 ]

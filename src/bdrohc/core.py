@@ -47,11 +47,6 @@ class HeaderLengths:
         return (self.ir_bits, self.co7_bits, self.co3_bits)[HeaderType(header)]
 
 
-def header_length(header: HeaderType, lengths: HeaderLengths) -> int:
-    """Bit length of one header choice."""
-    return lengths.header_bits(header)
-
-
 @dataclass(frozen=True)
 class CompressorAction:
     """One slot's decision: which header to send, and whether to ask the
@@ -70,10 +65,6 @@ ACTIONS: tuple[CompressorAction, ...] = tuple(
     CompressorAction(h, f) for h in HeaderType for f in (False, True)
 )
 ACTION_COUNT = len(ACTIONS)
-
-
-def action_from_index(index: int) -> CompressorAction:
-    return ACTIONS[index]
 
 
 @dataclass(frozen=True)

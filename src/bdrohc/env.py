@@ -475,6 +475,32 @@ class Trace:
         return trace
 
 
+@dataclass(frozen=True)
+class MetricsReport:
+    transmission_efficiency: float
+    feedback_rate: float
+    mean_reward: float
+    decode_success_count: int
+
+
+def compute_metrics(trace: Trace, lengths: HeaderLengths) -> MetricsReport:
+    """Exact ratios over one trace; rejects empty traces."""
+    n = len(trace)
+    if n == 0:
+        raise ValueError("cannot compute metrics on an empty trace")
+    payload = lengths.payload_bits
+    sent_bits = 0
+    for code in trace.alpha_c:
+        sent_bits += payload + lengths.header_bits(HeaderType(code))
+    delivered = payload * sum(trace.decode_success)
+    return MetricsReport(
+        transmission_efficiency=delivered / sent_bits,
+        feedback_rate=sum(trace.alpha_f) / n,
+        mean_reward=sum(trace.reward) / n,
+        decode_success_count=sum(trace.decode_success),
+    )
+
+
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     """Accept raw entropy or an already-built SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
@@ -482,17 +508,24 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def rollout(policy: Policy, cfg: EnvConfig, env_seed, policy_rng, record) -> Observation:
+    """Play one full-horizon episode, calling record(t, obs, outcome) after
+    every slot with the observation the policy acted on; returns the
+    observation after the last slot."""
+    env = RohcEnv(cfg)
+    obs = env.reset(env_seed)
+    policy.reset(policy_rng)
+    for t in range(cfg.horizon):
+        outcome = env.step(policy.act(obs))
+        record(t, obs, outcome)
+        obs = outcome.observation
+    return obs
+
+
 def run_episode(policy: Policy, cfg: EnvConfig, seed) -> Trace:
     """Roll one full-horizon episode; deterministic given (cfg, seed) and a
     deterministic policy."""
     env_ss, policy_ss = as_seed_sequence(seed).spawn(2)
-    env = RohcEnv(cfg)
-    obs = env.reset(env_ss)
-    policy.reset(np.random.default_rng(policy_ss))
     trace = Trace()
-    for t in range(cfg.horizon):
-        action = policy.act(obs)
-        outcome = env.step(action)
-        trace.append(t, obs, outcome)
-        obs = outcome.observation
+    rollout(policy, cfg, env_ss, np.random.default_rng(policy_ss), trace.append)
     return trace

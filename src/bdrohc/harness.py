@@ -1,5 +1,7 @@
-"""Experiment harness: flat config files, metric reports, sweep and
-adaptation runs, and the built-in consistency checks behind the CLI.
+"""Experiment harness: flat config files, metric reports (compute_metrics
+and MetricsReport live beside Trace in env and are re-exported here),
+sweep and adaptation runs, and the built-in consistency checks behind the
+CLI.
 
 Config files are lines of ``section.key = value``; every key must appear in
 the schema below.  Sweeps repeat the train/evaluate cycle once per sweep
@@ -9,8 +11,6 @@ trained policy's measured feedback rate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,33 +30,7 @@ from .baselines import (
 )
 from .channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
 from .core import HeaderLengths, HeaderType, SourceDynamics, decompressor_step, DecompressorState
-from .env import EnvConfig, Policy, Trace, run_episode
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    transmission_efficiency: float
-    feedback_rate: float
-    mean_reward: float
-    decode_success_count: int
-
-
-def compute_metrics(trace: Trace, lengths: HeaderLengths) -> MetricsReport:
-    """Exact ratios over one trace; rejects empty traces."""
-    n = len(trace)
-    if n == 0:
-        raise ValueError("cannot compute metrics on an empty trace")
-    payload = lengths.payload_bits
-    sent_bits = 0
-    for code in trace.alpha_c:
-        sent_bits += payload + lengths.header_bits(HeaderType(code))
-    delivered = payload * sum(trace.decode_success)
-    return MetricsReport(
-        transmission_efficiency=delivered / sent_bits,
-        feedback_rate=sum(trace.alpha_f) / n,
-        mean_reward=sum(trace.reward) / n,
-        decode_success_count=sum(trace.decode_success),
-    )
+from .env import EnvConfig, MetricsReport, Policy, compute_metrics, run_episode  # noqa: F401
 
 
 # --------------------------------------------------------------------------
@@ -374,7 +348,7 @@ def train_point(cfg: dict, point_seed: int):
     return result.params, spec, result
 
 
-def run_experiment(cfg: dict, seed: int, out_path=None, params_cache: dict | None = None):
+def run_experiment(cfg: dict, seed: int, out_path=None):
     """Sweep driver.  For each sweep value: train the agent, evaluate it
     greedily on a held-out stream, then evaluate KT at the agent's measured
     feedback rate.  Returns the result rows; optionally writes them."""
@@ -389,8 +363,6 @@ def run_experiment(cfg: dict, seed: int, out_path=None, params_cache: dict | Non
         point_seed = int(seed) + index
         env_cfg = make_env_config(point)
         params, spec, _ = train_point(point, point_seed)
-        if params_cache is not None:
-            params_cache[index] = params
         rl_trace, rl_metrics = evaluate_policy(AgentPolicy(params, spec), env_cfg, point_seed)
         kt_cfg = make_kt_config(point, feedback_prob=rl_metrics.feedback_rate)
         _, kt_metrics = evaluate_policy(KtPolicy(kt_cfg), env_cfg, point_seed)

@@ -57,10 +57,6 @@ def init_params(cfg: MlpConfig, rng) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def copy_params(params: MlpParams) -> MlpParams:
-    return params.copy()
-
-
 def forward(params: MlpParams, x) -> np.ndarray:
     """Action values for a single input vector."""
     h = np.asarray(x, dtype=float)

@@ -1,5 +1,5 @@
 """Agent tests: history encoding layout, action selection, replay memory,
-training-loop bookkeeping, checkpoints."""
+multi-step blocks, training-loop bookkeeping, checkpoints."""
 
 import numpy as np
 import pytest
@@ -12,19 +12,27 @@ from bdrohc.agent import (
     EncoderSpec,
     HistoryWindow,
     ReplayMemory,
+    _blocks,
     encode,
     load_checkpoint,
     mlp_config_for,
     run_training,
     save_checkpoint,
-    select_action,
-    td_target,
     train_step,
 )
 from bdrohc.channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
 from bdrohc.core import ACTIONS, CompressorAction, HeaderLengths, HeaderType, SourceDynamics
-from bdrohc.env import PAD_ACTION, EnvConfig, Observation, run_episode
-from bdrohc.mlp import MlpParams, init_params, params_equal, sgd_step, td_loss_grad
+from bdrohc.env import (
+    PAD_ACTION,
+    BatchObservation,
+    EnvConfig,
+    Observation,
+    Trace,
+    compute_metrics,
+    rollout,
+    run_episode,
+)
+from bdrohc.mlp import MlpParams, forward, init_params, params_equal, sgd_step, td_loss_grad
 
 LENGTHS = HeaderLengths(20, 60, 15, 1)
 
@@ -67,12 +75,6 @@ def small_agent(**kw):
 
 
 class TestConfigValidation:
-    def test_rejects_bad_anneal_target(self):
-        with pytest.raises(ValueError):
-            small_agent(learning_rate=1e-3, learning_rate_final=2e-3)
-        with pytest.raises(ValueError):
-            small_agent(learning_rate_final=0.0)
-
     def test_rejects_bad_step_counts(self):
         with pytest.raises(ValueError):
             small_agent(multi_step=0)
@@ -213,42 +215,74 @@ class TestEncoding:
         assert window.actions == (a,)
 
 
+def linear_policy(bias, rng, epsilon=0.0, explore_slots=0):
+    """AgentPolicy over one zero-weight linear layer, whose bias is the
+    value vector of every window, reset with rng."""
+    spec = EncoderSpec(hmm=False, w=1, delay=0, extra=0)
+    params = MlpParams([np.zeros((6, spec.input_len))], [np.array(bias, dtype=float)])
+    policy = AgentPolicy(params, spec, epsilon, explore_slots)
+    policy.reset(rng)
+    return policy
+
+
+OBS = Observation(1, 0, -1, (1,))
+
+
 class TestSelection:
     def test_greedy_picks_max(self):
-        # single linear layer with zero weights: the bias is the value vector
-        params = MlpParams(
-            [np.zeros((6, 4))], [np.array([0.0, 0.0, 5.0, 0.0, 0.0, 0.0])]
-        )
-        rng = np.random.default_rng(0)
-        assert select_action(params, np.zeros(4), 0.0, rng) == 2
+        policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], np.random.default_rng(0))
+        assert policy.act(OBS) == ACTIONS[2]
+        assert policy.greedy
+        assert np.array_equal(policy.x, encode(policy.window, policy.spec))
 
     def test_greedy_tie_breaks_low(self):
-        params = MlpParams([np.zeros((6, 4))], [np.zeros(6)])
-        rng = np.random.default_rng(0)
-        assert select_action(params, np.ones(4), 0.0, rng) == 0
+        policy = linear_policy([0.0] * 6, np.random.default_rng(0))
+        assert policy.act(OBS) == ACTIONS[0]
 
     def test_greedy_consumes_no_randomness(self):
-        params = MlpParams([np.zeros((6, 4))], [np.zeros(6)])
         rng = np.random.default_rng(0)
+        policy = linear_policy([0.0] * 6, rng)
         before = rng.bit_generator.state
-        select_action(params, np.zeros(4), 0.0, rng)
+        for _ in range(5):
+            policy.act(OBS)
         assert rng.bit_generator.state == before
 
     def test_full_exploration_is_uniform(self):
-        params = MlpParams([np.zeros((6, 4))], [np.zeros(6)])
-        rng = np.random.default_rng(1)
+        policy = linear_policy([0.0] * 6, np.random.default_rng(1), epsilon=1.0)
         counts = np.zeros(6)
         n = 60_000
         for _ in range(n):
-            counts[select_action(params, np.zeros(4), 1.0, rng)] += 1
+            counts[policy.act(OBS).index] += 1
         assert np.all(np.abs(counts / n - 1.0 / 6.0) < 0.01)
 
-    def test_td_target_arithmetic(self):
-        params = MlpParams(
-            [np.zeros((6, 4))], [np.array([1.0, 7.0, 3.0, 0.0, 0.0, 0.0])]
+    def test_exploring_starts_apply(self):
+        # epsilon 0, but the first three slots of each episode explore
+        rng = np.random.default_rng(4)
+        policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], rng, explore_slots=3)
+        twin = np.random.default_rng(4)
+        for _ in range(2):
+            for _ in range(3):
+                assert twin.random() < 1.0
+                expected = ACTIONS[int(twin.integers(6))]
+                assert policy.act(OBS) == expected
+                assert policy.greedy == (expected == ACTIONS[2])
+            before = rng.bit_generator.state
+            assert policy.act(OBS) == ACTIONS[2]
+            assert rng.bit_generator.state == before
+            policy.reset(rng)
+
+    def test_exploring_starts_apply_to_batches(self):
+        policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], None, explore_slots=1)
+        obs = BatchObservation(
+            np.ones(3, dtype=int),
+            np.zeros(3, dtype=int),
+            np.full(3, -1),
+            np.ones((3, 1), dtype=int),
         )
-        assert td_target(params, 2.0, np.zeros(4), 0.5) == pytest.approx(2.0 + 0.5 * 7.0)
-        assert td_target(params, 2.0, np.zeros(4), 0.0) == pytest.approx(2.0)
+        u = np.array([0.05, 0.5, 0.95])
+        policy.reset_batch(3)
+        assert policy.act_batch(obs, u).tolist() == [0, 3, 5]
+        assert policy.act_batch(obs, u).tolist() == [2, 2, 2]
 
 
 class TestTrainStep:
@@ -256,8 +290,8 @@ class TestTrainStep:
         # zero net, zero reward, any discount: target = 0 = prediction
         params = MlpParams([np.zeros((3, 4)), np.zeros((6, 3))], [np.zeros(3), np.zeros(6)])
         target = params.copy()
-        batch = [(np.ones(4), 2, 0.0, np.ones(4))]
-        out, loss = train_step(params, target, batch, 0.5, 0.9)
+        batch = [(np.ones(4), 2, 0.0, np.ones(4), 0.9)]
+        out, loss = train_step(params, target, batch, 0.5)
         assert loss == 0.0
         assert params_equal(out, params)
 
@@ -268,9 +302,9 @@ class TestTrainStep:
         target = init_params(cfg, rng)
         x = rng.normal(size=cfg.widths[0])
         nx = rng.normal(size=cfg.widths[0])
-        batch = [(x, 3, 0.7, nx)]
-        stepped, _ = train_step(params, target, batch, 0.01, 0.9)
-        y = td_target(target, 0.7, nx, 0.9)
+        batch = [(x, 3, 0.7, nx, 0.9)]
+        stepped, _ = train_step(params, target, batch, 0.01)
+        y = 0.7 + 0.9 * float(np.max(forward(target, nx)))
         _, grads = td_loss_grad(params, x, 3, y)
         manual = sgd_step(params, grads, 0.01)
         assert params_equal(stepped, manual)
@@ -282,9 +316,9 @@ class TestTrainStep:
         frozen = MlpParams(
             [np.zeros((6, 4))], [np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])]
         )
-        batch = [(np.zeros(4), 0, 0.0, np.zeros(4))]
-        _, loss_plain = train_step(online, frozen, batch, 0.0, 0.5, double_argmax=False)
-        _, loss_double = train_step(online, frozen, batch, 0.0, 0.5, double_argmax=True)
+        batch = [(np.zeros(4), 0, 0.0, np.zeros(4), 0.5)]
+        _, loss_plain = train_step(online, frozen, batch, 0.0, double_argmax=False)
+        _, loss_double = train_step(online, frozen, batch, 0.0, double_argmax=True)
         assert loss_plain == pytest.approx(1.0)    # (0 - 0.5 * 2)**2
         assert loss_double == pytest.approx(0.25)  # (0 - 0.5 * 1)**2
 
@@ -293,10 +327,13 @@ class TestTrainStep:
             [np.zeros((6, 4))], [np.array([0.0, 0.0, 0.0, 0.0, 0.0, 8.0])]
         )
         online = MlpParams([np.zeros((6, 4))], [np.zeros(6)])
-        batch = [(np.zeros(4), 0, 0.0, np.zeros(4), 0.25)]
-        # the trailing 0.25 wins over the scalar 0.9 passed to the call
-        _, loss = train_step(online, frozen, batch, 0.0, 0.9)
-        assert loss == pytest.approx((0.25 * 8.0) ** 2)
+        batch = [
+            (np.zeros(4), 0, 0.0, np.zeros(4), 0.25),
+            (np.zeros(4), 0, 0.0, np.zeros(4), 0.5),
+        ]
+        # each transition bootstraps with its own trailing discount
+        _, loss = train_step(online, frozen, batch, 0.0)
+        assert loss == pytest.approx(((0.25 * 8.0) ** 2 + (0.5 * 8.0) ** 2) / 2)
 
 
 class TestReplayMemory:
@@ -305,7 +342,7 @@ class TestReplayMemory:
         for i in range(10):
             mem.push(i)
         assert len(mem) == 5
-        assert mem.items() == [5, 6, 7, 8, 9]
+        assert set(mem.sample(500, np.random.default_rng(0))) == {5, 6, 7, 8, 9}
 
     def test_sample_empty_raises(self):
         with pytest.raises(ValueError):
@@ -326,10 +363,36 @@ class TestReplayMemory:
     @given(st.integers(1, 10), st.lists(st.integers(), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_keeps_last_capacity_items_in_order(self, capacity, values):
+        # evictions follow arrival order: after every push the memory holds
+        # exactly the last `capacity` values pushed so far
         mem = ReplayMemory(capacity)
-        for v in values:
+        rng = np.random.default_rng(0)
+        for n, v in enumerate(values, start=1):
             mem.push(v)
-        assert mem.items() == values[-capacity:]
+            assert set(mem.sample(500, rng)) == set(values[:n][-capacity:])
+
+
+class TestBlocks:
+    def test_six_slot_episode(self):
+        # multi-step 3 with a non-greedy action at slot 3: the block opened
+        # at slot 0 runs its full three slots, the ones opened at slots 1
+        # and 2 end early at slot 3, and the two opened at slots 4 and 5
+        # are still open at the horizon and dropped
+        inputs = [f"x{t}" for t in range(7)]
+        actions = [10, 11, 12, 13, 14, 15]
+        greedy = [True, True, True, False, True, True]
+        rewards = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+        assert _blocks(inputs, actions, greedy, rewards, 3, 0.5) == [
+            ("x0", 10, 1.0 + 0.5 * 2.0 + 0.25 * 4.0, "x3", 0.125),
+            ("x1", 11, 2.0 + 0.5 * 4.0, "x3", 0.25),
+            ("x2", 12, 4.0, "x3", 0.5),
+            ("x3", 13, 8.0 + 0.5 * 16.0 + 0.25 * 32.0, "x6", 0.125),
+        ]
+
+    def test_single_step_blocks_cover_every_slot(self):
+        inputs = ["x0", "x1", "x2"]
+        got = _blocks(inputs, [0, 1], [False, True], [1.0, 2.0], 1, 0.9)
+        assert got == [("x0", 0, 1.0, "x1", 0.9), ("x1", 1, 2.0, "x2", 0.9)]
 
 
 class TestTraining:
@@ -404,16 +467,32 @@ class TestTraining:
         with pytest.raises(ValueError):
             run_training(cfg, small_agent(), 3, seed=0, env_schedule=[(1, other)])
 
-    def test_anneal_changes_trajectory(self):
-        cfg = ge_env(horizon=8)
-        flat = run_training(cfg, small_agent(learning_rate=1e-2), 3, seed=6)
-        annealed = run_training(
-            cfg,
-            small_agent(learning_rate=1e-2, learning_rate_final=1e-4),
-            3,
-            seed=6,
+    def test_rejects_horizon_below_one(self):
+        with pytest.raises(ValueError, match="env_cfg has horizon 0"):
+            run_training(ge_env(horizon=0), small_agent(), 2, seed=0)
+        with pytest.raises(ValueError, match="env_schedule episode 1 has horizon 0"):
+            run_training(
+                ge_env(horizon=6), small_agent(), 2, seed=0, env_schedule=[(1, ge_env(horizon=0))]
+            )
+
+    def test_curves_match_compute_metrics_of_the_episode(self):
+        # greedy on a zero-grad-step run: the network never changes, so
+        # replaying its episodes through run_episode's loop must give the
+        # same curves
+        cfg = ge_env(horizon=12)
+        agent = small_agent(
+            epsilon_init=0.0, epsilon_floor=0.0, explore_start_slots=0, grad_steps=0
         )
-        assert not params_equal(flat.params, annealed.params)
+        result = run_training(cfg, agent, 2, seed=5)
+        spec = EncoderSpec.for_env(cfg, agent)
+        episode_seeds = np.random.SeedSequence(5).spawn(4)[3].spawn(2)
+        for episode, ss in enumerate(episode_seeds):
+            trace = Trace()
+            rollout(AgentPolicy(result.params, spec), cfg, ss, None, trace.append)
+            m = compute_metrics(trace, cfg.lengths)
+            assert result.episode_rewards[episode] == m.mean_reward
+            assert result.episode_efficiency[episode] == m.transmission_efficiency
+            assert result.episode_feedback_rate[episode] == m.feedback_rate
 
     def test_variant_knobs_stay_deterministic(self):
         # every sampling/bootstrapping variant must keep the seed contract
@@ -500,6 +579,19 @@ class TestCheckpoint:
         assert EncoderSpec(**meta["encoder"]) == spec
         save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7)
         assert "encoder" not in load_checkpoint(path)[2]
+
+    def test_loads_sidecar_with_the_deleted_anneal_field(self, tmp_path):
+        import json
+
+        cfg = ge_env(horizon=4)
+        agent = small_agent()
+        trained = run_training(cfg, agent, 1, seed=8)
+        path = tmp_path / "agent.params"
+        save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7)
+        meta = json.loads((tmp_path / "agent.params.json").read_text())
+        meta["agent"]["learning_rate_final"] = None
+        (tmp_path / "agent.params.json").write_text(json.dumps(meta))
+        assert load_checkpoint(path)[1] == agent
 
     def test_rejects_mismatched_metadata(self, tmp_path):
         import json

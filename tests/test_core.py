@@ -19,9 +19,7 @@ from bdrohc.core import (
     HeaderType,
     SourceDynamics,
     SourceState,
-    action_from_index,
     decompressor_step,
-    header_length,
     is_decode_success,
     source_step,
 )
@@ -163,16 +161,15 @@ class TestTypes:
 
     def test_header_length_lookup(self):
         lengths = HeaderLengths(20, 60, 15, 1)
-        assert header_length(IR, lengths) == 60
-        assert header_length(CO7, lengths) == 15
-        assert header_length(CO3, lengths) == 1
+        assert lengths.header_bits(IR) == 60
+        assert lengths.header_bits(CO7) == 15
+        assert lengths.header_bits(CO3) == 1
 
     def test_action_space_is_six_distinct(self):
         assert ACTION_COUNT == 6
         assert len(set(ACTIONS)) == 6
         for i, a in enumerate(ACTIONS):
             assert a.index == i
-            assert action_from_index(i) == a
 
     def test_decompressor_state_bounds(self):
         DecompressorState(6, 5)
