@@ -27,10 +27,13 @@ from .core import HeaderType
 class GilbertElliotConfig:
     """Good/bad channel chain.
 
-    mean_bad_duration is the expected sojourn in the bad state (1/p_good
-    escape rate is derived from it together with eps_b).  Note the derived
-    chain has stationary bad-state probability 1 - eps_b.  header_scale
-    optionally rescales the success probability per header type.
+    Despite its name, mean_bad_duration (l_b) sets good_to_bad = 1/l_b, so
+    it is the expected sojourn in the *good* state.  The bad state is left
+    with probability bad_to_good = eps_b / (l_b (1 - eps_b)), so the
+    expected bad sojourn is l_b (1 - eps_b) / eps_b and the stationary
+    bad-state probability is 1 - eps_b (5, 20 and 0.8 at l_b = 5,
+    eps_b = 0.2).  header_scale optionally rescales the success probability
+    per header type.
     """
 
     mean_bad_duration: float

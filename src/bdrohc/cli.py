@@ -53,7 +53,15 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+def _refuse_schedule(cfg, command: str) -> None:
+    """Only adapt switches the channel mid-run; elsewhere a schedule would
+    be silently ignored."""
+    if cfg["adapt.schedule"]:
+        raise ValueError(f"adapt.schedule is set, but {command} ignores it; only adapt runs a schedule")
+
+
 def _cmd_train(args, cfg) -> int:
+    _refuse_schedule(cfg, "train")
     out = args.out or "train_curve.csv"
     env_cfg = harness.make_env_config(cfg)
     agent_cfg = harness.make_agent_config(cfg)
@@ -119,23 +127,19 @@ def _eval_policy_for(cfg, args):
 
 
 def _cmd_eval(args, cfg) -> int:
+    _refuse_schedule(cfg, "eval")
+    if cfg["run.checkpoint"] and cfg["run.policy"] != "rl":
+        raise ValueError(
+            f"run.checkpoint is set, but eval ignores it with run.policy = {cfg['run.policy']}; "
+            "checkpoints load only with run.policy = rl"
+        )
     env_cfg = harness.make_env_config(cfg)
     policy = _eval_policy_for(cfg, args)
     trace, metrics = harness.evaluate_policy(policy, env_cfg, args.seed)
     trace_path = cfg["run.trace"]
     if trace_path:
         trace.to_csv(trace_path)
-    rows = [
-        {
-            "sweep_param": "",
-            "sweep_value": "",
-            "policy": cfg["run.policy"],
-            "efficiency": metrics.transmission_efficiency,
-            "feedback_rate": metrics.feedback_rate,
-            "mean_reward": metrics.mean_reward,
-            "seed": args.seed,
-        }
-    ]
+    rows = [harness.result_row("", "", cfg["run.policy"], metrics, args.seed)]
     out = args.out or "eval_metrics.csv"
     harness.write_result_csv(out, rows)
     print(
@@ -146,6 +150,7 @@ def _cmd_eval(args, cfg) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
+    _refuse_schedule(cfg, "sweep")
     out = args.out or "sweep_results.csv"
     rows = harness.run_experiment(cfg, args.seed, out_path=out)
     print(f"wrote {len(rows)} rows to {out}")

@@ -418,61 +418,58 @@ class Trace:
         self.reward.append(outcome.reward)
         self.decode_success.append(int(d.decode_success))
 
-    @staticmethod
-    def _fmt(x) -> str:
-        if isinstance(x, (int, np.integer)):
-            return str(int(x))
-        return format(float(x), ".9g")
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(_TRACE_COLUMNS) + "\n")
-            for i in range(len(self)):
-                row = (
-                    self.t[i],
-                    self.alpha_c[i],
-                    self.alpha_f[i],
-                    self.z_t[i],
-                    self.z_h[i],
-                    self.z_d[i],
-                    self.sigma_s[i],
-                    self.sigma_d[i],
-                    self.sigma_t[i],
-                    self.reward[i],
-                    self.decode_success[i],
-                )
-                fh.write(",".join(self._fmt(x) for x in row) + "\n")
+        columns = [getattr(self, name.lower()) for name in _TRACE_COLUMNS]
+        write_csv(path, _TRACE_COLUMNS, zip(*columns))
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
+        """Read a to_csv file back; z_H holds ints on the Gilbert-Elliot
+        channel and floats on the fading channel."""
         trace = cls()
-        with open(path, newline="") as fh:
-            header = fh.readline().strip()
-            if tuple(header.split(",")) != _TRACE_COLUMNS:
-                raise ValueError(f"unexpected trace header: {header!r}")
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(_TRACE_COLUMNS):
-                    raise ValueError(f"malformed trace row: {line!r}")
-                trace.t.append(int(parts[0]))
-                trace.alpha_c.append(int(parts[1]))
-                trace.alpha_f.append(int(parts[2]))
-                trace.z_t.append(int(parts[3]))
-                try:
-                    zh: float = int(parts[4])
-                except ValueError:
-                    zh = float(parts[4])
-                trace.z_h.append(zh)
-                trace.z_d.append(int(parts[5]))
-                trace.sigma_s.append(int(parts[6]))
-                trace.sigma_d.append(int(parts[7]))
-                trace.sigma_t.append(int(parts[8]))
-                trace.reward.append(float(parts[9]))
-                trace.decode_success.append(int(parts[10]))
+        columns = [getattr(trace, name.lower()) for name in _TRACE_COLUMNS]
+        parsers = [{"z_H": _int_or_float, "reward": float}.get(name, int) for name in _TRACE_COLUMNS]
+        for cells in read_csv(path, _TRACE_COLUMNS):
+            for column, parse, cell in zip(columns, parsers, cells):
+                column.append(parse(cell))
         return trace
+
+
+def _int_or_float(cell: str):
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header line of column names, then one comma-separated line
+    per row.  Every CSV file the package writes goes through here: a cell
+    is str() of its value, which for a float is its repr, so numbers read
+    back exactly."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def read_csv(path, columns):
+    """Yield the rows of a write_csv file as lists of cell strings, one row
+    at a time, skipping blank lines.  Raises ValueError when the header is
+    not exactly columns or a row's width differs from the header's."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header.split(",") != list(columns):
+            raise ValueError(f"{path}: expected header {','.join(columns)!r}, got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            cells = line.rstrip("\n").split(",")
+            if len(cells) != len(columns):
+                raise ValueError(
+                    f"{path}: line {lineno} has {len(cells)} fields, "
+                    f"the header has {len(columns)}: {line.rstrip()!r}"
+                )
+            yield cells
 
 
 @dataclass(frozen=True)

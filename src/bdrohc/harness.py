@@ -30,7 +30,7 @@ from .baselines import (
 )
 from .channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
 from .core import HeaderLengths, HeaderType, SourceDynamics, decompressor_step, DecompressorState
-from .env import EnvConfig, MetricsReport, Policy, compute_metrics, run_episode  # noqa: F401
+from .env import EnvConfig, MetricsReport, Policy, compute_metrics, run_episode, write_csv  # noqa: F401
 
 
 # --------------------------------------------------------------------------
@@ -273,60 +273,35 @@ RESULT_COLUMNS = (
 CURVE_COLUMNS = ("episode", "mean_reward", "efficiency", "feedback_rate", "epsilon")
 
 
-def _fmt_value(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def result_row(param: str, value: str, policy: str, metrics: MetricsReport, seed: int) -> dict:
+    """One row of a result file, keyed by RESULT_COLUMNS."""
+    return {
+        "sweep_param": param,
+        "sweep_value": value,
+        "policy": policy,
+        "efficiency": metrics.transmission_efficiency,
+        "feedback_rate": metrics.feedback_rate,
+        "mean_reward": metrics.mean_reward,
+        "seed": seed,
+    }
 
 
 def write_result_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_value(row[c]) for c in RESULT_COLUMNS) + "\n")
-
-
-def read_result_csv(path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if tuple(header.split(",")) != RESULT_COLUMNS:
-            raise ValueError(f"unexpected result header: {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            rows.append(
-                {
-                    "sweep_param": parts[0],
-                    "sweep_value": parts[1],
-                    "policy": parts[2],
-                    "efficiency": float(parts[3]),
-                    "feedback_rate": float(parts[4]),
-                    "mean_reward": float(parts[5]),
-                    "seed": int(parts[6]),
-                }
-            )
-    return rows
+    write_csv(path, RESULT_COLUMNS, ([row[c] for c in RESULT_COLUMNS] for row in rows))
 
 
 def write_curve_csv(path, result) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CURVE_COLUMNS) + "\n")
-        for ep in range(len(result.episode_rewards)):
-            row = (
-                str(ep),
-                repr(result.episode_rewards[ep]),
-                repr(result.episode_efficiency[ep]),
-                repr(result.episode_feedback_rate[ep]),
-                repr(result.episode_epsilon[ep]),
-            )
-            fh.write(",".join(row) + "\n")
+    write_csv(
+        path,
+        CURVE_COLUMNS,
+        zip(
+            range(len(result.episode_rewards)),
+            result.episode_rewards,
+            result.episode_efficiency,
+            result.episode_feedback_rate,
+            result.episode_epsilon,
+        ),
+    )
 
 
 def eval_seed_for(point_seed: int):
@@ -366,19 +341,9 @@ def run_experiment(cfg: dict, seed: int, out_path=None):
         rl_trace, rl_metrics = evaluate_policy(AgentPolicy(params, spec), env_cfg, point_seed)
         kt_cfg = make_kt_config(point, feedback_prob=rl_metrics.feedback_rate)
         _, kt_metrics = evaluate_policy(KtPolicy(kt_cfg), env_cfg, point_seed)
-        shown = "" if value is None else _fmt_value(value)
-        for name, metrics in (("rl", rl_metrics), ("kt", kt_metrics)):
-            rows.append(
-                {
-                    "sweep_param": param,
-                    "sweep_value": shown,
-                    "policy": name,
-                    "efficiency": metrics.transmission_efficiency,
-                    "feedback_rate": metrics.feedback_rate,
-                    "mean_reward": metrics.mean_reward,
-                    "seed": point_seed,
-                }
-            )
+        shown = "" if value is None else str(value)
+        rows.append(result_row(param, shown, "rl", rl_metrics, point_seed))
+        rows.append(result_row(param, shown, "kt", kt_metrics, point_seed))
     if out_path is not None:
         write_result_csv(out_path, rows)
     return rows

@@ -14,6 +14,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from bdrohc.agent import (
     AgentConfig,
@@ -275,6 +276,7 @@ class TestDeterminism:
         )
 
 
+@pytest.mark.slow
 class TestDegenerateConvergence:
     def test_perfect_channel_training_reaches_compressed_steady_state(self):
         t0 = time.monotonic()
@@ -313,6 +315,7 @@ class TestDegenerateConvergence:
         )
 
 
+@pytest.mark.slow
 class TestExhaustiveOptimum:
     def test_optimum_bounds_policies_and_trained_agent_approaches_it(self):
         t0 = time.monotonic()
@@ -376,6 +379,7 @@ class TestExhaustiveOptimum:
         )
 
 
+@pytest.mark.slow
 class TestLearnedVersusThreshold:
     def test_learned_policy_keeps_pace_with_threshold_baseline(self):
         t0 = time.monotonic()

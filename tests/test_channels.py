@@ -68,6 +68,17 @@ class TestGilbertElliot:
         bad = int(np.sum(traj == 0))
         assert abs(bad / n - ge_stationary(cfg)) < 0.01
 
+    @pytest.mark.parametrize("l_b, eps_b", [(5.0, 0.2), (2.0, 0.4)])
+    def test_sojourns_and_occupancy_closed_form(self, l_b, eps_b):
+        # l_b is the mean good run; the bad run is l_b (1 - eps_b) / eps_b
+        traj = ge_trajectory(ge(l_b, eps_b), 400_000, np.random.default_rng(13), init=1)
+        starts = np.flatnonzero(np.diff(traj)) + 1
+        lengths = np.diff(starts)  # complete runs only: the first and last are cut
+        states = traj[starts[:-1]]
+        assert lengths[states == 1].mean() == pytest.approx(l_b, rel=0.03)
+        assert lengths[states == 0].mean() == pytest.approx(l_b * (1 - eps_b) / eps_b, rel=0.03)
+        assert np.mean(traj == 0) == pytest.approx(1 - eps_b, abs=0.01)
+
     def test_trajectory_matches_scalar_steps(self):
         cfg = ge(5.0, 0.2)
         r1 = np.random.default_rng(11)

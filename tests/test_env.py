@@ -1,6 +1,8 @@
 """Environment loop tests: timing of delayed application, feedback delivery,
 reward bookkeeping, trace export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -251,26 +253,27 @@ class TestRewardDecomposition:
         assert total == pytest.approx(share - penalty, abs=1e-9)
 
 
+TRACE_COLUMNS = (
+    "t", "alpha_c", "alpha_f", "z_t", "z_h", "z_d",
+    "sigma_s", "sigma_d", "sigma_t", "reward", "decode_success",
+)
+
+
 class TestTrace:
     def test_csv_round_trip(self, tmp_path):
         from bdrohc.baselines import RandomPolicy
 
-        trace = run_episode(RandomPolicy(), lossy_cfg(horizon=100), 23)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        back = Trace.from_csv(path)
-        assert back.t == trace.t
-        assert back.alpha_c == trace.alpha_c
-        assert back.alpha_f == trace.alpha_f
-        assert back.z_t == trace.z_t
-        assert back.z_h == trace.z_h  # integer channel flags survive exactly
-        assert back.z_d == trace.z_d
-        assert back.sigma_s == trace.sigma_s
-        assert back.sigma_d == trace.sigma_d
-        assert back.sigma_t == trace.sigma_t
-        assert back.decode_success == trace.decode_success
-        for a, b in zip(back.reward, trace.reward):
-            assert a == pytest.approx(b, rel=1e-8)
+        ge = lossy_cfg(horizon=100)
+        hmm = dataclasses.replace(ge, channel=HmmChannelConfig(0.5, 4, 2.0, 1.0))
+        for cfg in (ge, hmm):
+            trace = run_episode(RandomPolicy(), cfg, 23)
+            path = tmp_path / "trace.csv"
+            trace.to_csv(path)
+            back = Trace.from_csv(path)
+            for name in TRACE_COLUMNS:
+                assert getattr(back, name) == getattr(trace, name), name
+            # z_H stays an int flag on Gilbert-Elliot and a float envelope on hmm
+            assert [type(z) for z in back.z_h] == [type(z) for z in trace.z_h]
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -287,7 +290,19 @@ class TestTrace:
         lines = path.read_text().splitlines()
         lines[1] = "1,2,3"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 2 has 3 fields, the header has 11"):
+            Trace.from_csv(path)
+
+    def test_csv_rejects_long_row(self, tmp_path):
+        from bdrohc.baselines import RandomPolicy
+
+        trace = run_episode(RandomPolicy(), lossy_cfg(horizon=3), 1)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[3] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 4 has 12 fields, the header has 11"):
             Trace.from_csv(path)
 
 

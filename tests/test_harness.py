@@ -12,9 +12,10 @@ from bdrohc import cli
 from bdrohc.agent import run_training
 from bdrohc.channels import GilbertElliotConfig, HmmChannelConfig
 from bdrohc.core import HeaderLengths, HeaderType
-from bdrohc.env import Trace
+from bdrohc.env import Trace, read_csv
 from bdrohc.harness import (
     PRESETS,
+    RESULT_COLUMNS,
     apply_preset,
     compute_metrics,
     default_config,
@@ -30,7 +31,6 @@ from bdrohc.harness import (
     parse_adapt_schedule,
     parse_config,
     parse_sweep_values,
-    read_result_csv,
     run_experiment,
     adapt_experiment,
     tiny_oracle_config,
@@ -286,16 +286,33 @@ class TestResultFiles:
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         write_result_csv(p1, self.ROWS)
-        back = read_result_csv(p1)
-        assert back[0]["efficiency"] == pytest.approx(0.8123456789, abs=0)
+        back = [dict(zip(RESULT_COLUMNS, cells)) for cells in read_csv(p1, RESULT_COLUMNS)]
+        assert float(back[0]["efficiency"]) == 0.8123456789
         write_result_csv(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_read_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
-        with pytest.raises(ValueError):
-            read_result_csv(path)
+        with pytest.raises(ValueError, match="expected header"):
+            list(read_csv(path, RESULT_COLUMNS))
+
+    @pytest.mark.parametrize("width", [6, 8])
+    def test_read_rejects_short_and_long_rows(self, tmp_path, width):
+        path = tmp_path / "r.csv"
+        write_result_csv(path, self.ROWS)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join((lines[2].split(",") + ["4"])[:width])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 3 has {width} fields, the header has 7"):
+            list(read_csv(path, RESULT_COLUMNS))
+
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_result_csv(path, self.ROWS)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "", lines[1], "  ", lines[2]]) + "\n\n")
+        assert len(list(read_csv(path, RESULT_COLUMNS))) == 2
 
 
 def fast_cfg(**overrides):
@@ -333,7 +350,7 @@ class TestDrivers:
         assert len(rows) == 4
         assert [r["seed"] for r in rows] == [2, 2, 3, 3]
         assert rows[0]["sweep_value"] == "0.2" and rows[2]["sweep_value"] == "0.4"
-        assert read_result_csv(out) == rows
+        assert list(read_csv(out, RESULT_COLUMNS)) == [[str(r[c]) for c in RESULT_COLUMNS] for r in rows]
 
     def test_kt_matches_trained_feedback_rate(self):
         rows = run_experiment(fast_cfg(), seed=1)
@@ -440,8 +457,8 @@ class TestCli:
         cfg = self.write_fast(tmp_path, "run.policy = fixed-ir\n")
         out = tmp_path / "eval.csv"
         assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = read_result_csv(out)
-        assert len(rows) == 1 and rows[0]["policy"] == "fixed-ir"
+        rows = list(read_csv(out, RESULT_COLUMNS))
+        assert len(rows) == 1 and rows[0][RESULT_COLUMNS.index("policy")] == "fixed-ir"
 
     def test_eval_trace_export(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -461,7 +478,8 @@ class TestCli:
         cfg2 = self.write_fast(tmp_path, f"run.policy = rl\nrun.checkpoint = {ckpt}\n")
         out = tmp_path / "eval.csv"
         assert cli.main(["eval", "--config", str(cfg2), "--out", str(out)]) == 0
-        assert read_result_csv(out)[0]["policy"] == "rl"
+        [row] = read_csv(out, RESULT_COLUMNS)
+        assert row[RESULT_COLUMNS.index("policy")] == "rl"
 
     def test_eval_refuses_checkpoint_of_other_layout(self, tmp_path, capsys):
         cfg = self.write_fast(tmp_path, "env.d = 4\n")
@@ -491,13 +509,28 @@ class TestCli:
         assert cli.main(["eval", "--config", str(other), "--out", str(tmp_path / "b.csv")]) == 2
         assert "input width" in capsys.readouterr().err
 
+    def test_eval_refuses_checkpoint_without_rl_policy(self, tmp_path, capsys):
+        cfg = self.write_fast(tmp_path, "run.policy = kt\nrun.checkpoint = /nonexistent/q.params\n")
+        out = tmp_path / "eval.csv"
+        assert cli.main(["eval", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run.checkpoint is set, but eval ignores it with run.policy = kt" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    def test_schedule_refused_outside_adapt(self, tmp_path, capsys, command):
+        cfg = self.write_fast(tmp_path, "adapt.schedule = 0:0.4\n")
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"adapt.schedule is set, but {command} ignores it" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_command(self, tmp_path, capsys):
         cfg = self.write_fast(
             tmp_path, "sweep.param = ge.eps_b\nsweep.values = 0.2,0.4\n"
         )
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(read_result_csv(out)) == 4
+        assert len(list(read_csv(out, RESULT_COLUMNS))) == 4
 
     def test_adapt_command(self, tmp_path):
         cfg = self.write_fast(tmp_path, "run.m = 2\nadapt.schedule = 1:0.4\n")
@@ -506,9 +539,11 @@ class TestCli:
         assert len(out.read_text().splitlines()) == 3  # header + 2 episodes
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
-        cfg = self.write_fast(tmp_path, "run.policy = kt\n")
-        out1 = tmp_path / "m1.csv"
-        out2 = tmp_path / "m2.csv"
-        assert cli.main(["eval", "--config", str(cfg), "--out", str(out1), "--seed", "3"]) == 0
-        assert cli.main(["eval", "--config", str(cfg), "--out", str(out2), "--seed", "3"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        outputs = []
+        for run in (1, 2):
+            out = tmp_path / f"m{run}.csv"
+            trace = tmp_path / f"t{run}.csv"
+            cfg = self.write_fast(tmp_path, f"run.policy = kt\nrun.trace = {trace}\n")
+            assert cli.main(["eval", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+            outputs.append((out.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]
