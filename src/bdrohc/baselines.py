@@ -1,11 +1,11 @@
-"""Reference policies and an exact small-instance optimum.
+"""Reference policies and an exact finite-horizon optimum.
 
 The KT baseline requests feedback at a fixed Bernoulli rate and chooses the
 header from the context class of the last feedback it saw, upgrading CO3 to
 CO7 whenever the current header flow is incompressible.  The exact oracle
-enumerates every action sequence and stochastic branch of a tiny
-undelayed, noiselessly observed Gilbert-Elliot instance and returns the
-best achievable discounted value.
+solves an undelayed, noiselessly observed Gilbert-Elliot instance by
+backward induction over BatchGeEnv's slot tables and returns the best
+achievable discounted value over a given number of slots.
 
 Monte-Carlo values come from rollouts run in lockstep on BatchGeEnv, so
 they exist for the Gilbert-Elliot channel only.  One environment and one
@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import GilbertElliotConfig, ge_stationary
-from .core import (
-    ACTIONS,
-    ACTION_COUNT,
-    CompressorAction,
-    DecompressorState,
-    HeaderType,
-    decompressor_step,
-)
+from .core import ACTIONS, ACTION_COUNT, CompressorAction, HeaderType
 from .env import (
     NO_FEEDBACK,
     BatchGeEnv,
@@ -57,22 +49,6 @@ class KtConfig:
             raise ValueError("feedback_prob must lie in [0, 1]")
 
 
-def kt_policy(latest_feedback, source_bit: int, cfg: KtConfig, rng) -> CompressorAction:
-    """One KT decision given the last feedback value seen (or None)."""
-    request = rng.random() < cfg.feedback_prob
-    if latest_feedback is None:
-        header = HeaderType.IR
-    elif latest_feedback <= cfg.w - 1:
-        header = cfg.fc_header
-    elif latest_feedback == cfg.w:
-        header = cfg.rc_header
-    else:
-        header = cfg.nc_header
-    if source_bit == 0 and header == HeaderType.CO3:
-        header = HeaderType.CO7
-    return CompressorAction(header, request)
-
-
 class KtPolicy(Policy):
     def __init__(self, cfg: KtConfig):
         self.cfg = cfg
@@ -84,15 +60,29 @@ class KtPolicy(Policy):
         self._latest = None
 
     def act(self, obs: Observation) -> CompressorAction:
-        if obs.z_d != -1:
+        """One KT decision; the request uniform is drawn first on every slot."""
+        cfg = self.cfg
+        request = self._rng.random() < cfg.feedback_prob
+        if obs.z_d != NO_FEEDBACK:
             self._latest = obs.z_d
-        return kt_policy(self._latest, obs.source_window[0], self.cfg, self._rng)
+        latest = self._latest
+        if latest is None:
+            header = HeaderType.IR
+        elif latest <= cfg.w - 1:
+            header = cfg.fc_header
+        elif latest == cfg.w:
+            header = cfg.rc_header
+        else:
+            header = cfg.nc_header
+        if obs.source_window[0] == 0 and header == HeaderType.CO3:
+            header = HeaderType.CO7
+        return CompressorAction(header, request)
 
     def reset_batch(self, rollouts: int) -> None:
         self._latest_batch = np.full(rollouts, NO_FEEDBACK)
 
     def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
-        """kt_policy over every rollout; NO_FEEDBACK marks none seen yet."""
+        """act over every rollout; NO_FEEDBACK marks none seen yet."""
         cfg = self.cfg
         latest = np.where(obs.z_d != NO_FEEDBACK, obs.z_d, self._latest_batch)
         self._latest_batch = latest
@@ -136,22 +126,15 @@ class OracleResult:
     first_action: CompressorAction
 
 
-_MAX_HORIZON = 6
-_MAX_STATES = 1024
-
-
 def _oracle_guard(cfg: EnvConfig, horizon: int) -> None:
-    if not isinstance(cfg.channel, GilbertElliotConfig):
+    if cfg.is_hmm:
         raise ValueError("exact oracle requires the Gilbert-Elliot channel")
     if cfg.delay != 0:
         raise ValueError("exact oracle requires zero delay")
     if cfg.noise.eps_t != 0.0 or cfg.noise.eps_h != 0.0:
         raise ValueError("exact oracle requires noiseless observations")
-    if horizon < 1 or horizon > _MAX_HORIZON:
-        raise ValueError(f"horizon must lie in 1..{_MAX_HORIZON}")
-    states = (cfg.w + 3) * (2 ** cfg.source.order) * 2 * 2
-    if states > _MAX_STATES:
-        raise ValueError(f"state space too large for exhaustive search ({states})")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
 
 
 def exact_oracle(cfg: EnvConfig, horizon: int, start=None) -> OracleResult:
@@ -161,82 +144,60 @@ def exact_oracle(cfg: EnvConfig, horizon: int, start=None) -> OracleResult:
     previous feedback flag); None means the reset distribution: no context,
     all-compressible window, stationary channel, no pending feedback.
 
-    Enumerates all six actions against every channel, arrival and source
-    branch, exactly mirroring one environment step at zero delay.  The
-    feedback charge of the action taken at slot t lands at slot t+1, so
-    requests on the final slot are free, as in a finite trace.
+    Finite-horizon backward induction over every (decompressor level,
+    source history, channel state), with BatchGeEnv's slot tables at zero
+    delay.  The feedback charge of the action taken at slot t lands at slot
+    t+1, so a pending request subtracts lambda, a request made with more
+    than one slot left costs gamma * lambda, and requests on the final slot
+    are free, as in a finite trace.  Ties go to the lowest action index.
     """
     _oracle_guard(cfg, horizon)
     ge = cfg.channel
-    lengths = cfg.lengths
-    lam = cfg.feedback_penalty
-    gamma = cfg.discount
-    p_good_stay = 1.0 - ge.good_to_bad
-    p_bad_go = ge.bad_to_good
-    dyn = cfg.source.p_one
-    order = cfg.source.order
-    memo: dict = {}
+    env = BatchGeEnv(cfg)
+    levels, headers = env.next_level.shape[:2]
+    history = np.arange(env.p_one.size)
+    shifted = (history << 1) & (history.size - 1)
+    p_one = env.p_one[:, None]
+    # level after the packet by [level, history, header, tx_ok]: the packet
+    # is compressed under the newest source bit
+    landing = env.next_level[:, :, :, history & 1].transpose(0, 3, 1, 2)
+    # arrival law by [next channel state, header, tx_ok]
+    arrival = np.stack((1.0 - env.p_tx, env.p_tx), axis=-1)
+    # channel law by [channel state, next channel state], 0 bad, 1 good
+    channel = np.array(
+        [[1.0 - ge.bad_to_good, ge.bad_to_good], [ge.good_to_bad, 1.0 - ge.good_to_bad]]
+    )
+    paid = np.zeros((levels, 1, 1, headers))
+    paid[0] = env.share
+    # gathers landed at [level, history, next channel, header, tx_ok]
+    pick = (
+        landing[:, :, None],
+        history[:, None, None, None],
+        np.arange(2)[:, None, None],
+        np.arange(headers)[:, None],
+    )
 
-    def q_values(decomp: int, window: tuple, good: int, prev_fb: int, steps: int):
-        values = []
-        charge = lam * prev_fb
-        idx = 0
-        for k, bit in enumerate(window):
-            idx |= bit << k
-        p_one = dyn[idx]
-        state = DecompressorState(decomp, cfg.w)
-        for action in ACTIONS:
-            ev = 0.0
-            for good2 in (1, 0):
-                if good == 1:
-                    p_h = p_good_stay if good2 == 1 else ge.good_to_bad
-                else:
-                    p_h = p_bad_go if good2 == 1 else 1.0 - p_bad_go
-                if p_h == 0.0:
-                    continue
-                base = ge.good_success if good2 == 1 else ge.bad_success
-                p_succ = min(1.0, max(0.0, base * ge.header_scale[action.header]))
-                for tx, p_t in ((1, p_succ), (0, 1.0 - p_succ)):
-                    if p_t == 0.0:
-                        continue
-                    nxt = decompressor_step(state, action.header, tx, window[0])
-                    reward = -charge
-                    if nxt.value == 0:
-                        reward += lengths.payload_bits / (
-                            lengths.payload_bits + lengths.header_bits(action.header)
-                        )
-                    for bit, p_s in ((1, p_one), (0, 1.0 - p_one)):
-                        if p_s == 0.0:
-                            continue
-                        cont = 0.0
-                        if steps > 1:
-                            window2 = ((bit,) + window)[:order]
-                            cont = value(
-                                nxt.value, window2, good2,
-                                int(action.request_feedback), steps - 1,
-                            )
-                        ev += p_h * p_t * p_s * (reward + gamma * cont)
-            values.append(ev)
-        return values
+    # value[level, history, channel] with no feedback pending; the state is
+    # observed, so a request only costs and the best action never makes one
+    value = np.zeros((levels, history.size, 2))
+    for _ in range(horizon):
+        after = (1.0 - p_one) * value[:, shifted] + p_one * value[:, shifted | 1]
+        # landed[level, history, next channel, header]: the slot's reward
+        # for landing on a level plus the discounted value after it
+        landed = paid + cfg.discount * after[..., None]
+        outcome = (landed[pick] * arrival).sum(axis=-1)
+        q = np.einsum("cn,lsnh->lsch", channel, outcome)
+        value = q.max(axis=-1)
 
-    def value(decomp, window, good, prev_fb, steps) -> float:
-        key = (decomp, window, good, prev_fb, steps)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        v = max(q_values(decomp, window, good, prev_fb, steps))
-        memo[key] = v
-        return v
-
+    q = np.repeat(q, 2, axis=-1)
+    if horizon > 1:
+        q[..., 1::2] -= cfg.discount * cfg.feedback_penalty
     if start is not None:
-        decomp, window, good, prev_fb = start
-        q = q_values(int(decomp), tuple(window), int(good), int(prev_fb), horizon)
+        level, window, good, pending = start
+        hist = sum(int(bit) << k for k, bit in enumerate(window))
+        q = q[int(level), hist, int(good)] - cfg.feedback_penalty * int(pending)
     else:
-        p_bad = ge_stationary(ge)
-        window = (1,) * order
-        q_bad = q_values(cfg.w + 1, window, 0, 0, horizon)
-        q_good = q_values(cfg.w + 1, window, 1, 0, horizon)
-        q = [p_bad * a + (1.0 - p_bad) * b for a, b in zip(q_bad, q_good)]
+        q = env.p_bad * q[cfg.w + 1, -1, 0] + (1.0 - env.p_bad) * q[cfg.w + 1, -1, 1]
     best = int(np.argmax(q))
     return OracleResult(float(q[best]), ACTIONS[best])
 

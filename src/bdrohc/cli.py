@@ -53,15 +53,23 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
-def _refuse_schedule(cfg, command: str) -> None:
-    """Only adapt switches the channel mid-run; elsewhere a schedule would
-    be silently ignored."""
-    if cfg["adapt.schedule"]:
-        raise ValueError(f"adapt.schedule is set, but {command} ignores it; only adapt runs a schedule")
+# Why a command that does not use a key refuses it.
+_WHY_REFUSED = {
+    "adapt.schedule": "only adapt runs a schedule",
+    "run.trace": "only eval writes a trace",
+    "run.checkpoint": "only eval with run.policy = rl loads a checkpoint",
+}
+
+
+def _refuse_ignored(cfg, command: str, keys) -> None:
+    """Refuse a set key that command would silently ignore."""
+    for key in keys:
+        if cfg[key]:
+            raise ValueError(f"{key} is set, but {command} ignores it; {_WHY_REFUSED[key]}")
 
 
 def _cmd_train(args, cfg) -> int:
-    _refuse_schedule(cfg, "train")
+    _refuse_ignored(cfg, "train", ("adapt.schedule", "run.trace", "run.checkpoint"))
     out = args.out or "train_curve.csv"
     env_cfg = harness.make_env_config(cfg)
     agent_cfg = harness.make_agent_config(cfg)
@@ -127,7 +135,7 @@ def _eval_policy_for(cfg, args):
 
 
 def _cmd_eval(args, cfg) -> int:
-    _refuse_schedule(cfg, "eval")
+    _refuse_ignored(cfg, "eval", ("adapt.schedule",))
     if cfg["run.checkpoint"] and cfg["run.policy"] != "rl":
         raise ValueError(
             f"run.checkpoint is set, but eval ignores it with run.policy = {cfg['run.policy']}; "
@@ -150,7 +158,7 @@ def _cmd_eval(args, cfg) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    _refuse_schedule(cfg, "sweep")
+    _refuse_ignored(cfg, "sweep", ("adapt.schedule", "run.trace", "run.checkpoint"))
     out = args.out or "sweep_results.csv"
     rows = harness.run_experiment(cfg, args.seed, out_path=out)
     print(f"wrote {len(rows)} rows to {out}")
@@ -158,6 +166,7 @@ def _cmd_sweep(args, cfg) -> int:
 
 
 def _cmd_adapt(args, cfg) -> int:
+    _refuse_ignored(cfg, "adapt", ("run.trace", "run.checkpoint"))
     out = args.out or "adapt_curve.csv"
     harness.adapt_experiment(cfg, args.seed, out_path=out)
     print(f"wrote {out}")

@@ -259,6 +259,11 @@ class BatchGeEnv:
     flip.  That is the order in which RohcEnv draws them, so a row holding
     the stream of np.random.default_rng(s) reproduces RohcEnv.reset(s)
     and the steps after it exactly.
+
+    The slot model lives in public tables, which baselines.exact_oracle
+    reads as well: p_bad (stationary bad-state probability at reset),
+    p_tx[channel, header], share[header] (the reward of a decode),
+    next_level[level, header, tx_ok, compressible] and p_one[history].
     """
 
     RESET_DRAWS = 3
@@ -273,18 +278,18 @@ class BatchGeEnv:
         ge = cfg.channel
         lengths = cfg.lengths
         self.cfg = cfg
-        self._p_bad = ge_stationary(ge)
+        self.p_bad = ge_stationary(ge)
         # success probability by [channel state (0 bad, 1 good), header]
         base = np.array([[ge.bad_success], [ge.good_success]])
-        self._p_tx = np.clip(base * np.array(ge.header_scale), 0.0, 1.0)
-        self._share = np.array(
+        self.p_tx = np.clip(base * np.array(ge.header_scale), 0.0, 1.0)
+        self.share = np.array(
             [
                 lengths.payload_bits / (lengths.payload_bits + lengths.header_bits(h))
                 for h in HeaderType
             ]
         )
-        self._next_level = _decompressor_table(cfg.w)
-        self._p_one = np.array(cfg.source.p_one)
+        self.next_level = _decompressor_table(cfg.w)
+        self.p_one = np.array(cfg.source.p_one)
         self._src_mask = 2**cfg.source.order - 1
         self._clock = 0
 
@@ -297,7 +302,7 @@ class BatchGeEnv:
         self._src_history = np.full(n, self._src_mask)
         self._src_window = np.ones((n, cfg.delay + 1), dtype=np.int64)
         self._actions = np.full((n, cfg.delay + 1), PAD_ACTION.index)
-        self._channel = (u[:, 0] >= self._p_bad).astype(np.int64)
+        self._channel = (u[:, 0] >= self.p_bad).astype(np.int64)
         z_h = self._channel ^ (u[:, 1] < cfg.noise.eps_h)
         z_t = (u[:, 2] < cfg.noise.eps_t).astype(np.int64)
         return BatchObservation(z_t, z_h, np.full(n, NO_FEEDBACK), self._src_window)
@@ -321,15 +326,15 @@ class BatchGeEnv:
         stay_good = u[:, 0] >= cfg.channel.good_to_bad
         go_good = u[:, 0] < cfg.channel.bad_to_good
         self._channel = np.where(self._channel == 1, stay_good, go_good).astype(np.int64)
-        tx_ok = (u[:, 1] < self._p_tx[self._channel, header]).astype(np.int64)
+        tx_ok = (u[:, 1] < self.p_tx[self._channel, header]).astype(np.int64)
         z_h = self._channel ^ (u[:, 2] < cfg.noise.eps_h)
 
         src_bit = self._src_window[:, d]
-        self._level = self._next_level[self._level, header, tx_ok, src_bit]
-        reward = np.where(self._level == 0, self._share[header], 0.0)
+        self._level = self.next_level[self._level, header, tx_ok, src_bit]
+        reward = np.where(self._level == 0, self.share[header], 0.0)
         reward -= cfg.feedback_penalty * charged
 
-        new_bit = (u[:, 3] < self._p_one[self._src_history]).astype(np.int64)
+        new_bit = (u[:, 3] < self.p_one[self._src_history]).astype(np.int64)
         self._src_history = ((self._src_history << 1) | new_bit) & self._src_mask
         self._src_window = np.concatenate(
             (new_bit[:, None], self._src_window[:, :-1]), axis=1

@@ -428,7 +428,7 @@ def fsm_check(ws=(5, 1)) -> tuple[int, list[str]]:
 
 
 def oracle_check(seed: int = 0) -> tuple[int, list[str]]:
-    """Tiny-instance sanity run: the exhaustive optimum must upper bound
+    """Tiny-instance sanity run: the exact optimum must upper bound
     Monte Carlo estimates of several simple policies."""
     cfg = tiny_oracle_config()
     horizon = 3

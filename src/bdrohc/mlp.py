@@ -123,12 +123,6 @@ def batch_td_loss_grad(params: MlpParams, x, actions, targets):
     return loss, (d_weights, d_biases)
 
 
-def td_loss_grad(params: MlpParams, x, action: int, target: float):
-    """Single-sample squared error of the selected unit and its gradient."""
-    x = np.asarray(x, dtype=float)
-    return batch_td_loss_grad(params, x[None, :], [action], [target])
-
-
 def sgd_step(params: MlpParams, grads, eta: float) -> MlpParams:
     """One plain gradient step; returns fresh parameters."""
     d_weights, d_biases = grads

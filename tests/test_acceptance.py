@@ -57,7 +57,7 @@ from bdrohc.harness import (
     tiny_oracle_config,
     train_point,
 )
-from bdrohc.mlp import MlpConfig, forward, init_params, td_loss_grad
+from bdrohc.mlp import MlpConfig, batch_td_loss_grad, forward, init_params
 
 from test_mlp import away_from_kinks, numeric_grad
 
@@ -169,7 +169,7 @@ class TestGradients:
                 raise AssertionError("no kink-free input found")
             action = int(rng.integers(6))
             target = float(rng.normal())
-            _, grads = td_loss_grad(params, x, action, target)
+            _, grads = batch_td_loss_grad(params, x[None, :], [action], [target])
             n_w, n_b = numeric_grad(params, x, action, target)
             for a, n in list(zip(grads[0], n_w)) + list(zip(grads[1], n_b)):
                 scale = max(np.max(np.abs(a)), np.max(np.abs(n)), 1e-8)

@@ -32,7 +32,7 @@ from bdrohc.env import (
     rollout,
     run_episode,
 )
-from bdrohc.mlp import MlpParams, forward, init_params, params_equal, sgd_step, td_loss_grad
+from bdrohc.mlp import MlpParams, batch_td_loss_grad, forward, init_params, params_equal, sgd_step
 
 LENGTHS = HeaderLengths(20, 60, 15, 1)
 
@@ -305,7 +305,7 @@ class TestTrainStep:
         batch = [(x, 3, 0.7, nx, 0.9)]
         stepped, _ = train_step(params, target, batch, 0.01)
         y = 0.7 + 0.9 * float(np.max(forward(target, nx)))
-        _, grads = td_loss_grad(params, x, 3, y)
+        _, grads = batch_td_loss_grad(params, x[None, :], [3], [y])
         manual = sgd_step(params, grads, 0.01)
         assert params_equal(stepped, manual)
 

@@ -1,13 +1,14 @@
-"""Baseline policy tests and a dual-route check of the exhaustive optimum:
+"""Baseline policy tests and a dual-route check of the exact optimum:
 hand-derived one- and two-step values, plus an independent in-test recursion
 built on a separately transcribed one-window transition table."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from bdrohc import baselines
+from bdrohc import baselines, cli
 from bdrohc.agent import AgentConfig, AgentPolicy, EncoderSpec, mlp_config_for
 from bdrohc.baselines import (
     FixedPolicy,
@@ -15,7 +16,6 @@ from bdrohc.baselines import (
     KtPolicy,
     RandomPolicy,
     exact_oracle,
-    kt_policy,
     lockstep_returns,
     mc_discounted_value,
     rollout_returns,
@@ -52,6 +52,14 @@ def perfect_cfg(w=1, source=None, horizon=2000):
     return tiny_cfg(good=1.0, bad=1.0, w=w, source=source or SourceDynamics.constant(1), horizon=horizon)
 
 
+def kt_header(cfg, z_d, bit):
+    """Header a freshly reset KT policy sends on one observation; z_d = -1
+    means no feedback has arrived."""
+    policy = KtPolicy(cfg)
+    policy.reset(np.random.default_rng(0))
+    return policy.act(Observation(1, 1, z_d, (bit,))).header
+
+
 class TestKtRule:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -61,27 +69,34 @@ class TestKtRule:
 
     def test_header_from_context_class(self):
         cfg = KtConfig(5)
-        rng = np.random.default_rng(0)
-        assert kt_policy(None, 1, cfg, rng).header == HeaderType.IR
+        assert kt_header(cfg, -1, 1) == HeaderType.IR
         for level in range(5):  # full context levels
-            assert kt_policy(level, 1, cfg, rng).header == HeaderType.CO3
-        assert kt_policy(5, 1, cfg, rng).header == HeaderType.CO7
-        assert kt_policy(6, 1, cfg, rng).header == HeaderType.IR
+            assert kt_header(cfg, level, 1) == HeaderType.CO3
+        assert kt_header(cfg, 5, 1) == HeaderType.CO7
+        assert kt_header(cfg, 6, 1) == HeaderType.IR
 
     def test_incompressible_upgrade(self):
         cfg = KtConfig(5)
-        rng = np.random.default_rng(0)
-        assert kt_policy(2, 0, cfg, rng).header == HeaderType.CO7
+        assert kt_header(cfg, 2, 0) == HeaderType.CO7
         # only the shortest header is upgraded
-        assert kt_policy(5, 0, cfg, rng).header == HeaderType.CO7
-        assert kt_policy(None, 0, cfg, rng).header == HeaderType.IR
+        assert kt_header(cfg, 5, 0) == HeaderType.CO7
+        assert kt_header(cfg, -1, 0) == HeaderType.IR
 
     def test_feedback_rate_extremes(self):
-        rng = np.random.default_rng(1)
-        never = KtConfig(5, feedback_prob=0.0)
-        always = KtConfig(5, feedback_prob=1.0)
-        assert not any(kt_policy(0, 1, never, rng).request_feedback for _ in range(200))
-        assert all(kt_policy(0, 1, always, rng).request_feedback for _ in range(200))
+        obs = Observation(1, 1, 0, (1,))
+        for prob, want in ((0.0, False), (1.0, True)):
+            policy = KtPolicy(KtConfig(5, feedback_prob=prob))
+            policy.reset(np.random.default_rng(1))
+            assert all(policy.act(obs).request_feedback == want for _ in range(200))
+
+    def test_draws_one_uniform_per_slot(self):
+        policy = KtPolicy(KtConfig(5, feedback_prob=0.5))
+        rng = np.random.default_rng(3)
+        policy.reset(rng)
+        obs = [Observation(1, 1, z_d, (bit,)) for z_d, bit in ((-1, 1), (0, 0), (-1, 1), (5, 1))]
+        requests = [policy.act(o).request_feedback for o in obs]
+        assert requests == list(np.random.default_rng(3).random(4) < 0.5)
+        assert rng.random() == np.random.default_rng(3).random(5)[4]
 
     def test_policy_remembers_last_feedback(self):
         cfg = KtConfig(5)
@@ -175,11 +190,12 @@ def _w1_next(state, header, tx, comp):
 
 
 def _brute_best_value(cfg, state, window, good, prev_fb, steps):
-    """Plain exhaustive expectation, no memo, hand-coded w=1 transitions."""
+    """Plain exhaustive expectation, no memo, hand-coded w=1 transitions;
+    window holds the last source.order bits, most recent first."""
     ge = cfg.channel
     lam = cfg.feedback_penalty
     best = None
-    p_one = cfg.source.p_one[window[0]] if cfg.source.order == 1 else None
+    p_one = cfg.source.p_one[sum(bit << k for k, bit in enumerate(window))]
     for action in ACTIONS:
         ev = 0.0
         for good2 in (0, 1):
@@ -188,6 +204,7 @@ def _brute_best_value(cfg, state, window, good, prev_fb, steps):
             else:
                 p_h = ge.bad_to_good if good2 == 1 else 1.0 - ge.bad_to_good
             p_succ = ge.good_success if good2 == 1 else ge.bad_success
+            p_succ = min(1.0, p_succ * ge.header_scale[action.header])
             for tx in (0, 1):
                 p_t = p_succ if tx else 1.0 - p_succ
                 nxt = _w1_next(state, action.header, tx, window[0])
@@ -201,7 +218,7 @@ def _brute_best_value(cfg, state, window, good, prev_fb, steps):
                     cont = 0.0
                     if steps > 1:
                         cont = _brute_best_value(
-                            cfg, nxt, (bit,), good2,
+                            cfg, nxt, ((bit,) + window)[:-1], good2,
                             int(action.request_feedback), steps - 1,
                         )
                     ev += p_h * p_t * p_s * (r + cfg.discount * cont)
@@ -215,8 +232,6 @@ class TestExactOracle:
         cfg = tiny_cfg()
         with pytest.raises(ValueError):
             exact_oracle(cfg, 0)
-        with pytest.raises(ValueError):
-            exact_oracle(cfg, 7)
         delayed = EnvConfig(
             lengths=cfg.lengths, channel=cfg.channel, noise=cfg.noise,
             source=cfg.source, w=cfg.w, delay=1, horizon=10,
@@ -280,13 +295,48 @@ class TestExactOracle:
 
     @pytest.mark.parametrize("state,window,good", [
         (0, (1,), 1), (0, (0,), 0), (1, (1,), 1), (2, (1,), 0), (1, (0,), 1),
+        (0, (1,), 0), (0, (0,), 1), (1, (1,), 0), (1, (0,), 0),
+        (2, (1,), 1), (2, (0,), 0), (2, (0,), 1),
     ])
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_matches_independent_recursion(self, state, window, good, steps):
         cfg = tiny_cfg(source=SourceDynamics.first_order(0.9, 0.2))
-        res = exact_oracle(cfg, steps, start=(state, window, good, 0))
-        brute = _brute_best_value(cfg, state, window, good, 0, steps)
-        assert res.value == pytest.approx(brute, abs=1e-12)
+        for pending in (0, 1):
+            res = exact_oracle(cfg, steps, start=(state, window, good, pending))
+            brute = _brute_best_value(cfg, state, window, good, pending, steps)
+            assert res.value == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_matches_independent_recursion_second_order_source(self, steps):
+        cfg = dataclasses.replace(
+            tiny_cfg(source=SourceDynamics(2, (0.9, 0.2, 0.7, 0.95))),
+            channel=GilbertElliotConfig(5.0, 0.2, 0.9, 0.1, header_scale=(0.8, 1.0, 1.2)),
+        )
+        windows = itertools.product((0, 1), repeat=cfg.source.order)
+        for start in itertools.product(range(cfg.w + 2), windows, (0, 1), (0, 1)):
+            res = exact_oracle(cfg, steps, start=start)
+            assert res.value == pytest.approx(_brute_best_value(cfg, *start, steps), abs=1e-12)
+
+    def test_long_horizon_increments_are_bounded(self):
+        # one more slot adds at least nothing (a decode never costs) and at
+        # most the best reward share, discounted to that slot
+        cfg = tiny_cfg()
+        top = LENGTHS.payload_bits / (LENGTHS.payload_bits + LENGTHS.co3_bits)
+        for h in (7, 50, 200):
+            step = exact_oracle(cfg, h).value - exact_oracle(cfg, h - 1).value
+            assert -1e-12 <= step <= cfg.discount ** (h - 1) * top + 1e-12
+
+    def test_oracle_check_output_is_pinned(self, capsys):
+        assert cli.main(["oracle-check", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "oracle value over 3 slots: 0.965497\n"
+            "  fixed-ir: 0.433540 <= oracle+0.02\n"
+            "  fixed-co7: 0.000000 <= oracle+0.02\n"
+            "  fixed-co3: 0.000000 <= oracle+0.02\n"
+            "  random: 0.300634 <= oracle+0.02\n"
+            "  kt-always: 0.963867 <= oracle+0.02\n"
+            "oracle-check: PASS\n"
+        )
 
 
 def noisy_cfg():

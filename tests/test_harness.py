@@ -524,6 +524,15 @@ class TestCli:
         assert f"adapt.schedule is set, but {command} ignores it" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [("run.trace", "t.csv"), ("run.checkpoint", "/nonexistent/q")])
+    @pytest.mark.parametrize("command", ["train", "sweep", "adapt"])
+    def test_eval_only_keys_refused(self, tmp_path, capsys, command, key, value):
+        cfg = self.write_fast(tmp_path, f"run.m = 1\nenv.t = 30\n{key} = {value}\n")
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} is set, but {command} ignores it" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_command(self, tmp_path, capsys):
         cfg = self.write_fast(
             tmp_path, "sweep.param = ge.eps_b\nsweep.values = 0.2,0.4\n"

@@ -16,7 +16,6 @@ from bdrohc.mlp import (
     params_lerp,
     save_params,
     sgd_step,
-    td_loss_grad,
 )
 
 
@@ -108,7 +107,7 @@ class TestForward:
 def numeric_grad(params, x, action, target, h=1e-5):
     """Central finite differences over every parameter entry."""
     def loss_at(p):
-        return td_loss_grad(p, x, action, target)[0]
+        return batch_td_loss_grad(p, x[None, :], [action], [target])[0]
 
     d_w = []
     d_b = []
@@ -175,7 +174,7 @@ class TestGradients:
             x = smooth_point(p, widths[0], rng)
             action = int(rng.integers(6))
             target = float(rng.normal())
-            loss, grads = td_loss_grad(p, x, action, target)
+            loss, grads = batch_td_loss_grad(p, x[None, :], [action], [target])
             assert loss >= 0.0
             assert grad_close(grads, numeric_grad(p, x, action, target))
 
@@ -205,7 +204,7 @@ class TestGradients:
         targets = [0.5, -1.0, 2.0, 0.0]
         batch_loss, _ = batch_td_loss_grad(p, xs, actions, targets)
         singles = [
-            td_loss_grad(p, xs[i], actions[i], targets[i])[0] for i in range(4)
+            batch_td_loss_grad(p, xs[i][None, :], [actions[i]], [targets[i]])[0] for i in range(4)
         ]
         assert batch_loss == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -213,7 +212,7 @@ class TestGradients:
         p = make([4, 3, 6], seed=5)
         x = np.ones(4)
         out = forward(p, x)
-        loss, (gw, gb) = td_loss_grad(p, x, 2, float(out[2]))
+        loss, (gw, gb) = batch_td_loss_grad(p, x[None, :], [2], [float(out[2])])
         assert loss == 0.0
         assert all(np.all(g == 0.0) for g in gw)
         assert all(np.all(g == 0.0) for g in gb)
@@ -221,7 +220,7 @@ class TestGradients:
     def test_only_selected_unit_feeds_back(self):
         p = make([4, 3, 6], seed=6)
         x = np.ones(4)
-        _, (gw, _) = td_loss_grad(p, x, 1, 10.0)
+        _, (gw, _) = batch_td_loss_grad(p, x[None, :], [1], [10.0])
         # output rows other than the chosen action receive no gradient
         other_rows = [r for r in range(6) if r != 1]
         assert np.all(gw[-1][other_rows] == 0.0)
@@ -268,14 +267,14 @@ class TestLerp:
 class TestSgd:
     def test_zero_rate_is_identity(self):
         p = make([4, 3, 6], seed=7)
-        _, grads = td_loss_grad(p, np.ones(4), 0, 5.0)
+        _, grads = batch_td_loss_grad(p, np.ones(4)[None, :], [0], [5.0])
         q = sgd_step(p, grads, 0.0)
         assert params_equal(p, q)
 
     def test_step_leaves_input_untouched(self):
         p = make([4, 3, 6], seed=7)
         before = p.copy()
-        _, grads = td_loss_grad(p, np.ones(4), 0, 5.0)
+        _, grads = batch_td_loss_grad(p, np.ones(4)[None, :], [0], [5.0])
         sgd_step(p, grads, 0.1)
         assert params_equal(p, before)
 
@@ -285,7 +284,7 @@ class TestSgd:
         target = 3.0
         losses = []
         for _ in range(500):
-            loss, grads = td_loss_grad(p, x, 4, target)
+            loss, grads = batch_td_loss_grad(p, x[None, :], [4], [target])
             losses.append(loss)
             p = sgd_step(p, grads, 0.01)
         # overwhelmingly monotone and convergent
