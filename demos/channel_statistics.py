@@ -44,7 +44,7 @@ envelopes = np.empty(STEPS)
 hits = 0
 for k in range(STEPS):
     state, envelope = hmm_step(state, cfg, rng)
-    a_i[k] = state.inphase[0]
+    a_i[k] = state.inphase
     envelopes[k] = envelope
     hits += hmm_transmission(envelope, cfg, rng)
 

@@ -7,29 +7,29 @@ levels under transmission failures, getting stuck by over-compression, and
 recovering via the repair level.
 """
 
-from bdrohc.core import DecompressorState, HeaderType, decompressor_step, is_decode_success
+from bdrohc.core import HeaderType, decompressor_step
 
 W = 5
 
 
 def narrate(title, start, steps):
     print(f"\n{title}")
-    state = start
-    print(f"  start: {describe(state)}")
+    level = start
+    print(f"  start: {describe(level)}")
     for header, tx_ok, compressible in steps:
-        state = decompressor_step(state, header, tx_ok, compressible)
-        outcome = "decoded" if is_decode_success(state) else "lost"
+        level = decompressor_step(level, header, tx_ok, compressible, W)
+        outcome = "decoded" if level == 0 else "lost"
         print(
             f"  send {header.name:3s} tx={'ok ' if tx_ok else 'drop'} "
-            f"compressible={compressible} -> {describe(state)} ({outcome})"
+            f"compressible={compressible} -> {describe(level)} ({outcome})"
         )
-    return state
+    return level
 
 
-def describe(state):
-    if state.value <= state.w - 1:
-        return f"full context, level {state.value}"
-    if state.value == state.w:
+def describe(level):
+    if level <= W - 1:
+        return f"full context, level {level}"
+    if level == W:
         return "repair context"
     return "no context"
 
@@ -38,7 +38,7 @@ print(f"W = {W}: states 0..{W-1} full context, {W} repair, {W+1} no context")
 
 narrate(
     "Cold start: only a full header can establish context",
-    DecompressorState.no_context(W),
+    W + 1,
     [
         (HeaderType.CO3, True, 1),   # minimal header is useless without context
         (HeaderType.CO7, True, 1),   # so is the mid-size one
@@ -50,7 +50,7 @@ narrate(
 
 narrate(
     "Failure climb: each drop burns one full-context level",
-    DecompressorState(0, W),
+    0,
     [
         (HeaderType.CO3, False, 1),
         (HeaderType.CO3, False, 1),
@@ -61,7 +61,7 @@ narrate(
 
 narrate(
     "Over-compression: an incompressible packet under a minimal header",
-    DecompressorState(0, W),
+    0,
     [
         (HeaderType.CO3, True, 0),   # delivered but undecodable -> repair
         (HeaderType.CO3, True, 1),   # minimal header cannot repair
@@ -70,14 +70,14 @@ narrate(
     ],
 )
 
-state = narrate(
+level = narrate(
     "Climbing all the way down ends in repair, not no-context",
-    DecompressorState(W - 2, W),
+    W - 2,
     [
         (HeaderType.CO3, False, 1),
         (HeaderType.CO3, False, 1),
         (HeaderType.CO7, True, 1),
     ],
 )
-assert is_decode_success(state)
+assert level == 0
 print("\nno-context is entered only at reset; losses alone never return there")

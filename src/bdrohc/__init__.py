@@ -5,13 +5,10 @@ from .core import (
     ACTIONS,
     ACTION_COUNT,
     CompressorAction,
-    DecompressorState,
     HeaderLengths,
     HeaderType,
     SourceDynamics,
-    SourceState,
     decompressor_step,
-    is_decode_success,
     source_step,
 )
 from .channels import (

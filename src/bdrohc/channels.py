@@ -115,8 +115,11 @@ def ge_transmission(state: int, header: HeaderType, cfg: GilbertElliotConfig, rn
 class HmmChannelConfig:
     """Rayleigh fading channel with correlated Gaussian gains.
 
-    correlation is the one-step autocorrelation rho of each gain process,
-    order is how many past gain values the channel state retains, tx_power
+    correlation is the one-step autocorrelation rho of each gain process.
+    order (config key hmm.d_h) sets only how hmm_init starts the channel:
+    order independent normal draws per gain, then 10 * order burn-in steps.
+    The channel state itself is the newest gain pair, because the AR(1)
+    recursion is exact and no older value enters the next step.  tx_power
     scales the envelope before the success threshold test, obs_noise_var is
     the variance of the additive noise on envelope observations.
     """
@@ -139,33 +142,33 @@ class HmmChannelConfig:
 
 @dataclass(frozen=True)
 class HmmState:
-    """Last `order` in-phase and quadrature gain values, most recent first."""
+    """Current in-phase and quadrature gains."""
 
-    inphase: tuple[float, ...]
-    quadrature: tuple[float, ...]
+    inphase: float
+    quadrature: float
 
     @property
     def envelope(self) -> float:
-        return math.hypot(self.inphase[0], self.quadrature[0])
+        return math.hypot(self.inphase, self.quadrature)
 
 
 def hmm_step(state: HmmState, cfg: HmmChannelConfig, rng) -> tuple[HmmState, float]:
     """Advance both gain processes one step and return the new envelope."""
     rho = cfg.correlation
     innov = math.sqrt(1.0 - rho * rho)
-    ai = rho * state.inphase[0] + innov * rng.standard_normal()
-    aq = rho * state.quadrature[0] + innov * rng.standard_normal()
-    new = HmmState((ai,) + state.inphase[:-1], (aq,) + state.quadrature[:-1])
-    return new, math.hypot(ai, aq)
+    ai = rho * state.inphase + innov * rng.standard_normal()
+    aq = rho * state.quadrature + innov * rng.standard_normal()
+    return HmmState(ai, aq), math.hypot(ai, aq)
 
 
 def hmm_init(cfg: HmmChannelConfig, rng) -> HmmState:
-    """Independent standard normal histories, then a burn-in of 10 * order
-    steps so the retained window comes from the joint law."""
-    state = HmmState(
-        tuple(rng.standard_normal() for _ in range(cfg.order)),
-        tuple(rng.standard_normal() for _ in range(cfg.order)),
-    )
+    """Independent standard normal histories of `order` values per gain,
+    newest first, then a burn-in of 10 * order steps.  Only the newest value
+    of each history enters the state, since the recursion forgets the rest,
+    but all 2 * order values are drawn: they fix where every later draw of
+    the stream falls."""
+    draws = [rng.standard_normal() for _ in range(2 * cfg.order)]
+    state = HmmState(draws[0], draws[cfg.order])
     for _ in range(10 * cfg.order):
         state, _ = hmm_step(state, cfg, rng)
     return state
@@ -182,7 +185,7 @@ def hmm_trajectory(
     for i in range(n):
         state, e = hmm_step(state, cfg, rng)
         env[i] = e
-        inph[i] = state.inphase[0]
+        inph[i] = state.inphase
     return state, env, inph
 
 

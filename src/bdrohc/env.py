@@ -39,13 +39,10 @@ from .channels import (
 )
 from .core import (
     CompressorAction,
-    DecompressorState,
     HeaderLengths,
     HeaderType,
     SourceDynamics,
-    SourceState,
     decompressor_step,
-    is_decode_success,
     source_step,
 )
 
@@ -134,16 +131,13 @@ class RohcEnv:
     def clock(self) -> int:
         return self._clock
 
-    @property
-    def decompressor_value(self) -> int:
-        return self._decomp.value
-
     def reset(self, seed=None) -> Observation:
         cfg = self.cfg
         self._rng = np.random.default_rng(seed)
         self._clock = 0
-        self._decomp = DecompressorState.no_context(cfg.w)
-        self._source = SourceState((1,) * cfg.source.order, cfg.source)
+        self._level = cfg.w + 1  # no context
+        # the source history as an integer: bit k is the bit k slots back
+        self._src_history = 2**cfg.source.order - 1
         self._src_window = deque([1] * (cfg.delay + 1), maxlen=cfg.delay + 1)
         self._actions = deque([PAD_ACTION] * (cfg.delay + 1), maxlen=cfg.delay + 2)
         if cfg.is_hmm:
@@ -179,8 +173,8 @@ class RohcEnv:
             z_h = observe_channel_ge(self._channel, cfg.noise.eps_h, rng)
 
         src_bit = self._src_window[cfg.delay]
-        self._decomp = decompressor_step(self._decomp, applied.header, tx_ok, src_bit)
-        success = is_decode_success(self._decomp)
+        self._level = decompressor_step(self._level, applied.header, tx_ok, src_bit, cfg.w)
+        success = self._level == 0
 
         length = cfg.lengths
         reward = 0.0
@@ -190,11 +184,11 @@ class RohcEnv:
             )
         reward -= cfg.feedback_penalty * int(evicted.request_feedback)
 
-        self._source, new_bit = source_step(self._source, rng)
+        self._src_history, new_bit = source_step(self._src_history, cfg.source, rng)
         self._src_window.appendleft(new_bit)
 
         fb_request = self._actions[cfg.delay - 1 if cfg.delay >= 1 else 0]
-        z_d = self._decomp.value if fb_request.request_feedback else NO_FEEDBACK
+        z_d = self._level if fb_request.request_feedback else NO_FEEDBACK
         z_t = observe_transmission(tx_ok, cfg.noise.eps_t, rng)
 
         obs = Observation(z_t, z_h, z_d, tuple(self._src_window))
@@ -205,7 +199,7 @@ class RohcEnv:
             StepDiagnostics(
                 success,
                 applied.header,
-                self._decomp.value,
+                self._level,
                 tx_ok,
                 src_bit,
                 int(evicted.request_feedback),
@@ -240,11 +234,10 @@ def _decompressor_table(w: int) -> np.ndarray:
     decompressor_step itself."""
     table = np.empty((w + 2, len(HeaderType), 2, 2), dtype=np.int64)
     for v in range(w + 2):
-        state = DecompressorState(v, w)
         for header in HeaderType:
             for tx in (0, 1):
                 for comp in (0, 1):
-                    table[v, header, tx, comp] = decompressor_step(state, header, tx, comp).value
+                    table[v, header, tx, comp] = decompressor_step(v, header, tx, comp, w)
     return table
 
 

@@ -29,7 +29,7 @@ from .baselines import (
     mc_discounted_value,
 )
 from .channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
-from .core import HeaderLengths, HeaderType, SourceDynamics, decompressor_step, DecompressorState
+from .core import HeaderLengths, HeaderType, SourceDynamics, decompressor_step
 from .env import EnvConfig, MetricsReport, Policy, compute_metrics, run_episode, write_csv  # noqa: F401
 
 
@@ -88,18 +88,21 @@ def default_config() -> dict:
 
 
 def _coerce(key: str, raw: str):
-    default = _SCHEMA[key]
+    """Read raw as the type of key's default; the error names the key."""
+    kind = type(_SCHEMA[key])
     raw = raw.strip()
-    if isinstance(default, bool):
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"cannot read {raw!r} as a boolean for {key}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+        raise ValueError(f"{key} expects a boolean, got {raw!r}")
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            noun = "an integer" if kind is int else "a float"
+            raise ValueError(f"{key} expects {noun}, got {raw!r}") from None
     return raw
 
 
@@ -116,7 +119,10 @@ def parse_config(text: str, base: dict | None = None) -> dict:
         key = key.strip()
         if key not in _SCHEMA:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        cfg[key] = _coerce(key, raw)
+        try:
+            cfg[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return cfg
 
 
@@ -190,7 +196,10 @@ def parse_sweep_values(cfg: dict) -> list:
         raise ValueError(f"sweep.param {param!r} is not a known config field")
     if not raw:
         raise ValueError("sweep.values is empty")
-    return [_coerce(param, piece) for piece in raw.split(",")]
+    try:
+        return [_coerce(param, piece) for piece in raw.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"sweep.values: {exc}") from None
 
 
 def parse_adapt_schedule(cfg: dict) -> list[tuple[int, float]]:
@@ -199,10 +208,13 @@ def parse_adapt_schedule(cfg: dict) -> list[tuple[int, float]]:
         return []
     out = []
     for piece in raw.split(","):
-        if ":" not in piece:
-            raise ValueError(f"schedule entries are 'episode:eps_b', got {piece!r}")
-        ep, val = piece.split(":", 1)
-        out.append((int(ep.strip()), float(val.strip())))
+        ep, _, val = piece.partition(":")
+        try:
+            out.append((int(ep), float(val)))
+        except ValueError:
+            raise ValueError(
+                f"adapt.schedule entries are 'episode:eps_b', got {piece!r}"
+            ) from None
     return sorted(out)
 
 
@@ -414,9 +426,7 @@ def fsm_check(ws=(5, 1)) -> tuple[int, list[str]]:
                     for comp in (0, 1):
                         cases += 1
                         hits, n = _reference_next_level(v, w, header, tx, comp)
-                        got = decompressor_step(
-                            DecompressorState(v, w), header, tx, comp
-                        ).value
+                        got = decompressor_step(v, header, tx, comp, w)
                         if n != 1 or got != hits[0]:
                             bad += 1
                             lines.append(

@@ -133,14 +133,18 @@ class TestHmmChannel:
         with pytest.raises(ValueError):
             HmmChannelConfig(0.5, 4, 2.0, -0.1)
 
-    def test_state_keeps_order_values(self):
-        cfg = HmmChannelConfig(0.5, 4, 2.0, 1.0)
-        state = hmm_init(cfg, np.random.default_rng(0))
-        assert len(state.inphase) == 4 and len(state.quadrature) == 4
-        nxt, env = hmm_step(state, cfg, np.random.default_rng(1))
-        assert len(nxt.inphase) == 4
-        assert nxt.inphase[1:] == state.inphase[:-1]
-        assert env == pytest.approx(math.hypot(nxt.inphase[0], nxt.quadrature[0]))
+    def test_init_draws_order_values_per_gain_then_burns_in(self):
+        # order normals for the in-phase history, order for the quadrature,
+        # newest first, then 10 * order steps of two normals each
+        cfg = HmmChannelConfig(0.5, 3, 2.0, 1.0)
+        state = hmm_init(cfg, np.random.default_rng(5))
+        z = np.random.default_rng(5).standard_normal(2 * 3 + 2 * 30)
+        ai, aq = z[0], z[3]
+        innov = math.sqrt(1.0 - 0.25)
+        for k in range(30):
+            ai = 0.5 * ai + innov * z[6 + 2 * k]
+            aq = 0.5 * aq + innov * z[7 + 2 * k]
+        assert (state.inphase, state.quadrature) == (ai, aq)
 
     def test_conditional_law_matches_joint_kernel(self):
         # The stationary process with covariance rho**|i-j| conditioned on
@@ -158,7 +162,9 @@ class TestHmmChannel:
 
     def test_step_matches_brute_force_conditional_sampler(self):
         # Draw from the conditional Gaussian computed via the full joint
-        # covariance and via the recursion; the two moment sets must agree.
+        # covariance of a 3-value history and via the recursion, which sees
+        # only the newest value; the two moment sets must agree, so the
+        # older values carry nothing the state needs.
         rho = 0.5
         cfg = HmmChannelConfig(rho, 3, 2.0, 1.0)
         history = (0.7, -0.4, 1.1)
@@ -170,10 +176,10 @@ class TestHmmChannel:
         rng = np.random.default_rng(12)
         n = 200_000
         draws = np.empty(n)
-        state = HmmState(history, history)
+        state = HmmState(history[0], history[0])
         for i in range(n):
             nxt, _ = hmm_step(state, cfg, rng)
-            draws[i] = nxt.inphase[0]
+            draws[i] = nxt.inphase
         assert abs(draws.mean() - mean_bf) < 0.01
         assert abs(draws.var() - var_bf) < 0.01
         assert mean_bf == pytest.approx(rho * history[0], abs=1e-12)

@@ -74,7 +74,7 @@ class TestReset:
         obs = env.reset(0)
         assert obs.z_d == NO_FEEDBACK
         assert obs.source_window == (1, 1, 1, 1)
-        assert env.decompressor_value == cfg.w + 1
+        assert env._level == cfg.w + 1
         assert env.clock == 0
 
     def test_step_before_reset_raises(self):
@@ -184,7 +184,7 @@ class TestTiming:
         for t in range(horizon):
             out = env.step(prefix[t])
             obs_seq.append(out.observation)
-            decomp_after.append(env.decompressor_value)
+            decomp_after.append(out.diagnostics.decomp_state)
         for i, obs in enumerate(obs_seq):
             if i == q + d:
                 assert obs.z_d == decomp_after[i - 1]
@@ -202,7 +202,7 @@ class TestTiming:
         for t in range(horizon):
             out = env.step(prefix[t])
             obs_seq.append(out.observation)
-            decomp_after.append(env.decompressor_value)
+            decomp_after.append(out.diagnostics.decomp_state)
         for i, obs in enumerate(obs_seq):
             if i == q + 1:
                 assert obs.z_d == decomp_after[i - 1]

@@ -1,7 +1,9 @@
 """Harness tests: metric arithmetic, flat config files, presets, result
 files, the sweep/adapt drivers, and the CLI front end."""
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +123,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_config("agent.double_argmax = maybe")
 
+    @pytest.mark.parametrize(
+        "key,raw,kind",
+        [
+            ("env.w", "2.5", "an integer"),
+            ("run.m", "many", "an integer"),
+            ("agent.eta", "fast", "a float"),
+            ("ge.eps_b", "0.2x", "a float"),
+            ("agent.double_argmax", "maybe", "a boolean"),
+        ],
+    )
+    def test_bad_value_names_key_and_line(self, key, raw, kind):
+        want = rf"^line 2: {re.escape(key)} expects {kind}, got '{re.escape(raw)}'$"
+        with pytest.raises(ValueError, match=want):
+            parse_config(f"env.d = 3\n{key} = {raw}\n")
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("env.t = 123\n")
@@ -217,6 +234,9 @@ class TestBuilders:
         cfg["sweep.values"] = ""
         with pytest.raises(ValueError):
             parse_sweep_values(cfg)
+        cfg["sweep.values"] = "2,4.5"
+        with pytest.raises(ValueError, match=r"^sweep\.values: env\.d expects an integer, got '4\.5'$"):
+            parse_sweep_values(cfg)
 
     def test_adapt_schedule(self):
         cfg = default_config()
@@ -225,6 +245,9 @@ class TestBuilders:
         assert parse_adapt_schedule(cfg) == [(0, 0.2), (50, 0.4)]
         cfg["adapt.schedule"] = "abc"
         with pytest.raises(ValueError):
+            parse_adapt_schedule(cfg)
+        cfg["adapt.schedule"] = "1:0.4,x:0.2"
+        with pytest.raises(ValueError, match="adapt.schedule entries .* got 'x:0.2'"):
             parse_adapt_schedule(cfg)
 
 
@@ -433,6 +456,12 @@ class TestCli:
         assert cli.main(["eval", "--config", str(path)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_bad_config_value_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("env.w = 2.5\n")
+        assert cli.main(["eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 1: env.w expects an integer, got '2.5'\n"
+
     def test_unknown_preset_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             cli.main(["sweep", "--preset", "fig99"])
@@ -556,3 +585,32 @@ class TestCli:
             assert cli.main(["eval", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
             outputs.append((out.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+# sha256 of the trace and result CSVs of `eval` with run.policy = kt at
+# env.t = 200 and seed 0.  KT runs no BLAS code, so these bytes depend only
+# on the random streams (numpy's PCG64 generation) and on plain float
+# arithmetic; a refactor that keeps them keeps both.  The result's mean
+# reward is a built-in float sum(), which CPython 3.12 made compensated, so
+# the result digests hold for CPython 3.10-3.11.
+_KT_EVAL_DIGESTS = {
+    "fig4": (
+        "9f5a51aea47f12164e3cc9ad76d263fbe3fe7c138009966ae101243795bf48e5",
+        "cf4ee02f00db0390be5e8ae94262ad4a0f8589c31fdffa5cfd15d1aa72ee1701",
+    ),
+    "fig13": (
+        "d77a854f2da7c4ff5b91b457460917d9147e8239b9e31fc64b76909eaf5d0616",
+        "704cf61a6c3f2097b64a5460d1be8d166fd8b45d95ab5fb24c782f07ccb7bc70",
+    ),
+}
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("preset", sorted(_KT_EVAL_DIGESTS))
+    def test_kt_eval_outputs_are_pinned(self, tmp_path, preset):
+        trace, out, cfg = tmp_path / "trace.csv", tmp_path / "eval.csv", tmp_path / "kt.cfg"
+        cfg.write_text(f"env.t = 200\nrun.policy = kt\nrun.trace = {trace}\n")
+        argv = ["eval", "--preset", preset, "--config", str(cfg), "--seed", "0", "--out", str(out)]
+        assert cli.main(argv) == 0
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, out))
+        assert digests == _KT_EVAL_DIGESTS[preset]
