@@ -24,6 +24,7 @@ agent = AgentConfig(
     grad_steps=100,
     replay_capacity=20_000,
     history_extra=2,
+    double_argmax=True,
 )
 
 print("episode   mean reward   efficiency   feedback   epsilon")

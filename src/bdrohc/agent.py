@@ -12,7 +12,7 @@ target network trailing the online one, then epsilon decays.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .mlp import (
 
 @dataclass(frozen=True)
 class AgentConfig:
-    discount: float = 0.95
     learning_rate: float = 1e-4
     epsilon_init: float = 1.0
     epsilon_decay: float = 0.995
@@ -55,9 +54,7 @@ class AgentConfig:
     grad_steps: int = 200
     # Three-step returns and a soft target update after every SGD step
     # carry values back faster than one-step targets refreshed once per
-    # episode, which left start-up values underfitted; the decoupled
-    # argmax keeps the max over noisy values of rare windows from
-    # inflating their bootstrap.
+    # episode, which left start-up values underfitted.
     multi_step: int = 3
     # None: explore uniformly on every slot whose window still holds
     # padding (EncoderSpec.padded_slots); an explicit count overrides it.
@@ -66,11 +63,11 @@ class AgentConfig:
     history_extra: int = 4
     hidden_width: int = 2048
     depth: int = 4
-    double_argmax: bool = True
+    # The decoupled argmax keeps the max over noisy values of rare windows
+    # from inflating their bootstrap, at one more forward pass per SGD step.
+    double_argmax: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.discount < 1.0:
-            raise ValueError("discount must lie in (0, 1)")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.epsilon_decay <= 1.0:
@@ -319,9 +316,10 @@ def run_training(
     Each episode is one rollout of an AgentPolicy over the online network,
     recorded in a Trace whose compute_metrics give the curves.  Once the
     episode ends its slots are cut into multi-step blocks for the replay
-    memory; blocks still open at the horizon are dropped, at most
-    multi_step - 1 per episode.  Then come grad_steps minibatch SGD steps,
-    each followed by a soft target update, and epsilon decays.
+    memory, discounted by that episode's env config; blocks still open at
+    the horizon are dropped, at most multi_step - 1 per episode.  Then come
+    grad_steps minibatch SGD steps, each followed by a soft target update,
+    and epsilon decays.
 
     env_schedule optionally remaps the environment config between episodes:
     a sequence of (episode index, EnvConfig) pairs, applied when that
@@ -376,7 +374,7 @@ def run_training(
         last_obs = rollout(policy, cfg, episode_seeds[episode], explore_rng, record)
         inputs.append(encode(policy.window.push(last_obs, policy.action), spec))
         for block in _blocks(
-            inputs, actions, greedy, trace.reward, agent_cfg.multi_step, agent_cfg.discount
+            inputs, actions, greedy, trace.reward, agent_cfg.multi_step, cfg.discount
         ):
             memory.push(block)
 
@@ -502,16 +500,24 @@ def save_checkpoint(
         fh.write("\n")
 
 
+# Former AgentConfig fields (a learning-rate anneal, and the discount that
+# training now reads from the env config); sidecars that record them load.
+_RETIRED_FIELDS = ("learning_rate_final", "discount")
+
+
 def load_checkpoint(path):
     """Returns (params, AgentConfig, metadata dict); metadata["encoder"]
     holds the EncoderSpec fields when the checkpoint recorded them."""
     params = load_params(path)
     with open(str(path) + ".json") as fh:
         meta = json.load(fh)
-    # learning_rate_final (a learning-rate anneal) is no longer a field;
-    # checkpoints written with it still load.
-    meta["agent"].pop("learning_rate_final", None)
-    agent_cfg = AgentConfig(**meta["agent"])
+    recorded = meta["agent"]
+    for name in _RETIRED_FIELDS:
+        recorded.pop(name, None)
+    unknown = sorted(set(recorded) - {f.name for f in fields(AgentConfig)})
+    if unknown:
+        raise ValueError(f"checkpoint {path} records unknown agent fields: {', '.join(unknown)}")
+    agent_cfg = AgentConfig(**recorded)
     if list(params.widths) != meta["widths"]:
         raise ValueError("checkpoint metadata does not match parameter shapes")
     return params, agent_cfg, meta

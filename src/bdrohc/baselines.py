@@ -34,13 +34,11 @@ from .env import (
 
 @dataclass(frozen=True)
 class KtConfig:
-    """Feedback rate and the context-class-to-header map."""
+    """The decompressor's full-context level count w and the per-slot
+    feedback request probability; KtPolicy's header map is fixed."""
 
     w: int
     feedback_prob: float = 0.0
-    fc_header: HeaderType = HeaderType.CO3
-    rc_header: HeaderType = HeaderType.CO7
-    nc_header: HeaderType = HeaderType.IR
 
     def __post_init__(self) -> None:
         if self.w < 1:
@@ -50,6 +48,10 @@ class KtConfig:
 
 
 class KtPolicy(Policy):
+    """Keeps the latest feedback level and sends IR before any feedback and
+    after no context (w+1), CO7 after repair context (w), and CO3 after full
+    context (0..w-1), or CO7 when the current header flow is incompressible."""
+
     def __init__(self, cfg: KtConfig):
         self.cfg = cfg
         self._rng = None
@@ -66,16 +68,12 @@ class KtPolicy(Policy):
         if obs.z_d != NO_FEEDBACK:
             self._latest = obs.z_d
         latest = self._latest
-        if latest is None:
+        if latest is None or latest > cfg.w:
             header = HeaderType.IR
-        elif latest <= cfg.w - 1:
-            header = cfg.fc_header
-        elif latest == cfg.w:
-            header = cfg.rc_header
-        else:
-            header = cfg.nc_header
-        if obs.source_window[0] == 0 and header == HeaderType.CO3:
+        elif latest == cfg.w or obs.source_window[0] == 0:
             header = HeaderType.CO7
+        else:
+            header = HeaderType.CO3
         return CompressorAction(header, request)
 
     def reset_batch(self, rollouts: int) -> None:
@@ -87,12 +85,10 @@ class KtPolicy(Policy):
         latest = np.where(obs.z_d != NO_FEEDBACK, obs.z_d, self._latest_batch)
         self._latest_batch = latest
         header = np.select(
-            [latest == NO_FEEDBACK, latest <= cfg.w - 1, latest == cfg.w],
-            [HeaderType.IR, cfg.fc_header, cfg.rc_header],
-            cfg.nc_header,
+            [(latest == NO_FEEDBACK) | (latest > cfg.w), latest == cfg.w],
+            [HeaderType.IR, HeaderType.CO7],
+            np.where(obs.source_window[:, 0] == 0, HeaderType.CO7, HeaderType.CO3),
         )
-        upgrade = (obs.source_window[:, 0] == 0) & (header == HeaderType.CO3)
-        header = np.where(upgrade, HeaderType.CO7, header)
         return 2 * header + (u < cfg.feedback_prob)
 
 

@@ -12,6 +12,8 @@ trained policy's measured feedback rate.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .agent import (
@@ -36,17 +38,32 @@ from .env import EnvConfig, MetricsReport, Policy, compute_metrics, run_episode,
 # --------------------------------------------------------------------------
 # flat config schema
 
+# Keys that set one EnvConfig or AgentConfig field; their defaults are the
+# dataclasses' own.
+_FIELDS: dict[str, tuple[type, str]] = {
+    "env.w": (EnvConfig, "w"),
+    "env.d": (EnvConfig, "delay"),
+    "env.t": (EnvConfig, "horizon"),
+    "env.lambda": (EnvConfig, "feedback_penalty"),
+    "env.gamma": (EnvConfig, "discount"),
+    "agent.eta": (AgentConfig, "learning_rate"),
+    "agent.gamma_eps": (AgentConfig, "epsilon_decay"),
+    "agent.eps_floor": (AgentConfig, "epsilon_floor"),
+    "agent.batch": (AgentConfig, "batch_size"),
+    "agent.replay": (AgentConfig, "replay_capacity"),
+    "agent.k": (AgentConfig, "grad_steps"),
+    "agent.d0": (AgentConfig, "history_extra"),
+    "agent.width": (AgentConfig, "hidden_width"),
+    "agent.depth": (AgentConfig, "depth"),
+    "agent.double_argmax": (AgentConfig, "double_argmax"),
+}
+
 _SCHEMA: dict[str, object] = {
     "env.channel": "ge",
-    "env.w": 5,
-    "env.d": 4,
-    "env.t": 2000,
     "env.l": 20,
     "env.l0": 60,
     "env.l1": 15,
     "env.l2": 1,
-    "env.lambda": 0.01,
-    "env.gamma": 0.95,
     "obs.eps_t": 0.1,
     "obs.eps_h": 0.1,
     "ge.l_b": 5.0,
@@ -59,19 +76,10 @@ _SCHEMA: dict[str, object] = {
     "hmm.omega_sq": 1.0,
     "source.p_one_after_zero": 1.0,
     "source.p_zero_after_one": 0.1,
-    "agent.eta": 1e-4,
-    "agent.gamma_eps": 0.995,
-    "agent.eps_floor": 0.05,
-    "agent.batch": 64,
-    "agent.replay": 100000,
-    "agent.k": 200,
-    "agent.d0": 4,
-    "agent.width": 2048,
-    "agent.depth": 4,
-    # AgentConfig defaults to the decoupled argmax; desk-scale sweeps run
-    # without it, as its extra forward pass per SGD step adds about 15% to
-    # a width-128 training episode.
-    "agent.double_argmax": False,
+    **{
+        key: next(f.default for f in fields(owner) if f.name == name)
+        for key, (owner, name) in _FIELDS.items()
+    },
     "kt.p_f": 0.2,
     "run.m": 100,
     "run.policy": "rl",
@@ -131,6 +139,15 @@ def load_config(path, base: dict | None = None) -> dict:
         return parse_config(fh.read(), base)
 
 
+def _table_fields(owner: type, cfg: dict) -> dict:
+    """owner's tabled fields, each read from cfg as its default's type."""
+    return {
+        name: type(_SCHEMA[key])(cfg[key])
+        for key, (cls, name) in _FIELDS.items()
+        if cls is owner
+    }
+
+
 def make_env_config(cfg: dict) -> EnvConfig:
     kind = cfg["env.channel"]
     if kind == "ge":
@@ -158,33 +175,30 @@ def make_env_config(cfg: dict) -> EnvConfig:
         source=SourceDynamics.first_order(
             float(cfg["source.p_one_after_zero"]), float(cfg["source.p_zero_after_one"])
         ),
-        w=int(cfg["env.w"]),
-        delay=int(cfg["env.d"]),
-        feedback_penalty=float(cfg["env.lambda"]),
-        discount=float(cfg["env.gamma"]),
-        horizon=int(cfg["env.t"]),
+        **_table_fields(EnvConfig, cfg),
     )
 
 
 def make_agent_config(cfg: dict) -> AgentConfig:
-    return AgentConfig(
-        discount=float(cfg["env.gamma"]),
-        learning_rate=float(cfg["agent.eta"]),
-        epsilon_decay=float(cfg["agent.gamma_eps"]),
-        epsilon_floor=float(cfg["agent.eps_floor"]),
-        batch_size=int(cfg["agent.batch"]),
-        replay_capacity=int(cfg["agent.replay"]),
-        grad_steps=int(cfg["agent.k"]),
-        history_extra=int(cfg["agent.d0"]),
-        hidden_width=int(cfg["agent.width"]),
-        depth=int(cfg["agent.depth"]),
-        double_argmax=bool(cfg["agent.double_argmax"]),
-    )
+    return AgentConfig(**_table_fields(AgentConfig, cfg))
 
 
 def make_kt_config(cfg: dict, feedback_prob: float | None = None) -> KtConfig:
     p = float(cfg["kt.p_f"]) if feedback_prob is None else float(feedback_prob)
     return KtConfig(w=int(cfg["env.w"]), feedback_prob=p)
+
+
+# The keys a sweep point reads besides the table: on every channel, then
+# per channel (the fading channel's observation is its noisy envelope, so
+# obs.eps_h goes unused there).
+_POINT_KEYS = (
+    "run.m", "env.channel", "env.l", "env.l0", "env.l1", "env.l2", "obs.eps_t",
+    "source.p_one_after_zero", "source.p_zero_after_one",
+)
+_CHANNEL_KEYS = {
+    "ge": ("obs.eps_h", "ge.l_b", "ge.eps_b", "ge.beta1", "ge.beta0"),
+    "hmm": ("hmm.rho", "hmm.d_h", "hmm.p_t", "hmm.omega_sq"),
+}
 
 
 def parse_sweep_values(cfg: dict) -> list:
@@ -194,6 +208,12 @@ def parse_sweep_values(cfg: dict) -> list:
         return []
     if param not in _SCHEMA:
         raise ValueError(f"sweep.param {param!r} is not a known config field")
+    channel = cfg["env.channel"]
+    if param not in (*_FIELDS, *_POINT_KEYS, *_CHANNEL_KEYS.get(channel, ())):
+        raise ValueError(
+            f"sweep.param {param!r} is not read by a sweep point on env.channel = {channel}; "
+            "its rows would differ only by their seeds"
+        )
     if not raw:
         raise ValueError("sweep.values is empty")
     try:

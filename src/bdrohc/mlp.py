@@ -171,18 +171,26 @@ def save_params(params: MlpParams, path) -> None:
 
 
 def load_params(path) -> MlpParams:
+    """Read a save_params dump; a short or overlong file raises ValueError."""
     with open(path, "rb") as fh:
+
+        def read(size: int) -> bytes:
+            data = fh.read(size)
+            if len(data) != size:
+                raise ValueError(f"parameter file {path} is truncated")
+            return data
+
         if fh.read(4) != _MAGIC:
-            raise ValueError("not a parameter file")
-        (n,) = struct.unpack("<q", fh.read(8))
-        widths = struct.unpack(f"<{n}q", fh.read(8 * n))
+            raise ValueError(f"{path} is not a parameter file")
+        (n,) = struct.unpack("<q", read(8))
+        widths = struct.unpack(f"<{n}q", read(8 * n))
         weights = []
         biases = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8")
+            w = np.frombuffer(read(8 * fan_in * fan_out), dtype="<f8")
             weights.append(w.reshape(fan_out, fan_in).copy())
-            biases.append(np.frombuffer(fh.read(8 * fan_out), dtype="<f8").copy())
+            biases.append(np.frombuffer(read(8 * fan_out), dtype="<f8").copy())
         tail = fh.read()
         if tail:
-            raise ValueError("trailing bytes in parameter file")
+            raise ValueError(f"trailing bytes in parameter file {path}")
     return MlpParams(weights, biases)

@@ -280,9 +280,8 @@ class TestDeterminism:
 class TestDegenerateConvergence:
     def test_perfect_channel_training_reaches_compressed_steady_state(self):
         t0 = time.monotonic()
-        cfg = degenerate_config()
+        cfg = dataclasses.replace(degenerate_config(), discount=0.6)
         agent = AgentConfig(
-            discount=0.6,
             learning_rate=1e-3,
             epsilon_decay=0.95,
             epsilon_floor=0.05,
@@ -325,7 +324,6 @@ class TestExhaustiveOptimum:
         oracle = exact_oracle(cfg, horizon)
 
         agent = AgentConfig(
-            discount=0.95,
             learning_rate=1e-3,
             epsilon_decay=0.95,
             epsilon_floor=0.1,
@@ -335,6 +333,7 @@ class TestExhaustiveOptimum:
             hidden_width=64,
             depth=2,
             history_extra=2,
+            double_argmax=True,
         )
         train_cfg = dataclasses.replace(cfg, horizon=200)
         result = run_training(train_cfg, agent, 100, seed=0)

@@ -580,7 +580,10 @@ class TestCheckpoint:
         save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7)
         assert "encoder" not in load_checkpoint(path)[2]
 
-    def test_loads_sidecar_with_the_deleted_anneal_field(self, tmp_path):
+    @staticmethod
+    def saved_with_sidecar_edit(tmp_path, edit):
+        """Save a checkpoint, apply edit to its sidecar dict; returns the
+        path and the agent config saved."""
         import json
 
         cfg = ge_env(horizon=4)
@@ -588,21 +591,35 @@ class TestCheckpoint:
         trained = run_training(cfg, agent, 1, seed=8)
         path = tmp_path / "agent.params"
         save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7)
-        meta = json.loads((tmp_path / "agent.params.json").read_text())
-        meta["agent"]["learning_rate_final"] = None
-        (tmp_path / "agent.params.json").write_text(json.dumps(meta))
+        sidecar = tmp_path / "agent.params.json"
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        return path, agent
+
+    def test_loads_sidecar_with_the_deleted_anneal_field(self, tmp_path):
+        path, agent = self.saved_with_sidecar_edit(
+            tmp_path, lambda meta: meta["agent"].update(learning_rate_final=None)
+        )
         assert load_checkpoint(path)[1] == agent
 
-    def test_rejects_mismatched_metadata(self, tmp_path):
-        import json
+    def test_loads_sidecar_with_the_retired_discount(self, tmp_path):
+        path, agent = self.saved_with_sidecar_edit(
+            tmp_path, lambda meta: meta["agent"].update(discount=0.95)
+        )
+        assert load_checkpoint(path)[1] == agent
 
-        cfg = ge_env(horizon=4)
-        agent = small_agent()
-        trained = run_training(cfg, agent, 1, seed=8)
-        path = tmp_path / "agent.params"
-        save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7)
-        meta = json.loads((tmp_path / "agent.params.json").read_text())
-        meta["widths"][0] += 1
-        (tmp_path / "agent.params.json").write_text(json.dumps(meta))
+    def test_rejects_unknown_agent_field(self, tmp_path):
+        path, _ = self.saved_with_sidecar_edit(
+            tmp_path, lambda meta: meta["agent"].update(bogus=1)
+        )
+        with pytest.raises(ValueError, match=r"unknown agent fields: bogus$"):
+            load_checkpoint(path)
+
+    def test_rejects_mismatched_metadata(self, tmp_path):
+        def widen(meta):
+            meta["widths"][0] += 1
+
+        path, _ = self.saved_with_sidecar_edit(tmp_path, widen)
         with pytest.raises(ValueError):
             load_checkpoint(path)

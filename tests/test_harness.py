@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdrohc import cli
-from bdrohc.agent import run_training
+from bdrohc.agent import AgentConfig, run_training
 from bdrohc.channels import GilbertElliotConfig, HmmChannelConfig
 from bdrohc.core import HeaderLengths, HeaderType
-from bdrohc.env import Trace, read_csv
+from bdrohc.env import EnvConfig, Trace, read_csv
 from bdrohc.harness import (
     PRESETS,
     RESULT_COLUMNS,
@@ -202,12 +202,38 @@ class TestBuilders:
         with pytest.raises(ValueError):
             make_env_config(cfg)
 
-    def test_agent_config_shares_discount(self):
+    @pytest.mark.parametrize(
+        "key,name,value",
+        [
+            ("env.w", "w", 3),
+            ("env.d", "delay", 2),
+            ("env.t", "horizon", 500),
+            ("env.lambda", "feedback_penalty", 0.05),
+            ("env.gamma", "discount", 0.9),
+            ("agent.eta", "learning_rate", 1e-3),
+            ("agent.gamma_eps", "epsilon_decay", 0.9),
+            ("agent.eps_floor", "epsilon_floor", 0.1),
+            ("agent.batch", "batch_size", 32),
+            ("agent.replay", "replay_capacity", 5000),
+            ("agent.k", "grad_steps", 50),
+            ("agent.d0", "history_extra", 2),
+            ("agent.width", "hidden_width", 128),
+            ("agent.depth", "depth", 3),
+            ("agent.double_argmax", "double_argmax", True),
+        ],
+    )
+    def test_key_sets_its_field_and_takes_the_dataclass_default(self, key, name, value):
         cfg = default_config()
-        cfg["env.gamma"] = 0.9
-        agent = make_agent_config(cfg)
-        assert agent.discount == 0.9
-        assert agent.hidden_width == 2048
+        if key.startswith("env."):
+            build = make_env_config
+            env = build(cfg)
+            reference = EnvConfig(env.lengths, env.channel, env.noise, env.source)
+        else:
+            build, reference = make_agent_config, AgentConfig()
+        assert cfg[key] == getattr(reference, name) != value
+        cfg[key] = value
+        got = getattr(build(cfg), name)
+        assert got == value and type(got) is type(value)
 
     def test_kt_config_override(self):
         cfg = default_config()
@@ -222,6 +248,9 @@ class TestBuilders:
         cfg["sweep.param"] = "ge.eps_b"
         cfg["sweep.values"] = "0.1,0.5"
         assert parse_sweep_values(cfg) == [0.1, 0.5]
+        cfg["sweep.param"] = "run.m"
+        cfg["sweep.values"] = "5,10"
+        assert parse_sweep_values(cfg) == [5, 10]
 
     def test_sweep_values_validation(self):
         cfg = default_config()
@@ -236,6 +265,25 @@ class TestBuilders:
             parse_sweep_values(cfg)
         cfg["sweep.values"] = "2,4.5"
         with pytest.raises(ValueError, match=r"^sweep\.values: env\.d expects an integer, got '4\.5'$"):
+            parse_sweep_values(cfg)
+
+    @pytest.mark.parametrize(
+        "channel,param",
+        [
+            ("ge", "kt.p_f"),
+            ("ge", "run.policy"),
+            ("ge", "hmm.rho"),
+            ("hmm", "ge.eps_b"),
+            ("hmm", "obs.eps_h"),
+        ],
+    )
+    def test_sweep_refuses_an_axis_no_point_reads(self, channel, param):
+        cfg = default_config()
+        cfg["env.channel"] = channel
+        cfg["sweep.param"] = param
+        cfg["sweep.values"] = "0.1,0.9"
+        want = rf"^sweep\.param '{re.escape(param)}' is not read by a sweep point on env\.channel = {channel};"
+        with pytest.raises(ValueError, match=want):
             parse_sweep_values(cfg)
 
     def test_adapt_schedule(self):
@@ -538,6 +586,27 @@ class TestCli:
         assert cli.main(["eval", "--config", str(other), "--out", str(tmp_path / "b.csv")]) == 2
         assert "input width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["header", "weights", "last bias", "sidecar field"])
+    def test_eval_refuses_damaged_checkpoint(self, tmp_path, capsys, damage):
+        cfg = self.write_fast(tmp_path)
+        curve = tmp_path / "curve.csv"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(curve)]) == 0
+        ckpt = tmp_path / "curve.csv.params"
+        sidecar = tmp_path / "curve.csv.params.json"
+        if damage == "sidecar field":
+            meta = json.loads(sidecar.read_text())
+            meta["agent"]["bogus"] = 1
+            sidecar.write_text(json.dumps(meta))
+            want = f"error: checkpoint {ckpt} records unknown agent fields: bogus\n"
+        else:
+            data = ckpt.read_bytes()
+            # the header takes 36 bytes, the first weight matrix hundreds more
+            ckpt.write_bytes(data[: {"header": 10, "weights": 100, "last bias": len(data) - 8}[damage]])
+            want = f"error: parameter file {ckpt} is truncated\n"
+        cfg2 = self.write_fast(tmp_path, f"run.policy = rl\nrun.checkpoint = {ckpt}\n")
+        assert cli.main(["eval", "--config", str(cfg2), "--out", str(tmp_path / "eval.csv")]) == 2
+        assert capsys.readouterr().err == want
+
     def test_eval_refuses_checkpoint_without_rl_policy(self, tmp_path, capsys):
         cfg = self.write_fast(tmp_path, "run.policy = kt\nrun.checkpoint = /nonexistent/q.params\n")
         out = tmp_path / "eval.csv"
@@ -560,6 +629,13 @@ class TestCli:
         out = tmp_path / "out.csv"
         assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{key} is set, but {command} ignores it" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_refuses_kt_feedback_axis(self, tmp_path, capsys):
+        cfg = self.write_fast(tmp_path, "sweep.param = kt.p_f\nsweep.values = 0.1,0.9\n")
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: sweep.param 'kt.p_f' is not read" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_command(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Network tests: shapes, initialization statistics, hand-rolled gradients
 against finite differences, optimizer behavior, binary serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,18 @@ class TestSerialization:
         with open(path, "ab") as fh:
             fh.write(b"\x00")
         with pytest.raises(ValueError):
+            load_params(path)
+
+    @pytest.mark.parametrize("where", ["header", "weights", "last bias"])
+    def test_rejects_truncated_file_naming_it(self, tmp_path, where):
+        p = make([4, 3, 6])
+        path = tmp_path / "net.bin"
+        save_params(p, path)
+        data = path.read_bytes()
+        # magic, count and three widths take 36 bytes; 4x3 weights follow
+        keep = {"header": 10, "weights": 36 + 8 * 5, "last bias": len(data) - 8}[where]
+        path.write_bytes(data[:keep])
+        with pytest.raises(ValueError, match=rf"^parameter file {re.escape(str(path))} is truncated$"):
             load_params(path)
 
     def test_loaded_params_are_writable(self, tmp_path):
