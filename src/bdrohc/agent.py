@@ -2,16 +2,24 @@
 
 The policy input is a sliding window over the last delay + extra + 1
 observations and the delay + extra actions between them, one-hot encoded
-(the fading channel's envelope observation stays real-valued).  Training
-follows the usual pattern: each episode is an epsilon-greedy rollout of
-AgentPolicy through env.rollout, cut into multi-step blocks for a FIFO
-replay memory once it ends, then a block of minibatch SGD steps with the
-target network trailing the online one, then epsilon decays.
+(the fading channel's envelope observation stays real-valued).  Acting
+moves the previous encoded input one slot older and writes only the newest
+observation and action; the full encode runs at reset and on the slot
+where the no-context mark clears.
+
+Training follows the usual pattern: each episode is an epsilon-greedy
+rollout of AgentPolicy through env.rollout, whose recorder stores every
+slot's encoded input once as a row of the replay memory.  Once the episode
+ends it is cut into multi-step blocks that refer to those rows, pushed to
+the FIFO, and a run of minibatch SGD steps follows, each gathering its
+batch with one fancy index per column and updating the online network and
+the trailing target network in place.  Then epsilon decays.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -179,53 +187,147 @@ def encode(window: HistoryWindow, spec: EncoderSpec) -> np.ndarray:
     repaired steady state.
     """
     x = np.zeros(spec.input_len)
-    off = 0
-    span = spec.delay + 1
-    for obs in reversed(window.observations):
-        x[off + (1 if obs.z_t else 0)] = 1.0
-        off += 2
-        if spec.hmm:
-            x[off] = obs.z_h
-            off += 1
-        else:
-            x[off + (1 if obs.z_h else 0)] = 1.0
-            off += 2
-        z_d = spec.w + 1 if window.no_context and obs.z_d == NO_FEEDBACK else obs.z_d
-        x[off + z_d + 1] = 1.0
-        off += spec.w + 3
-        x[off : off + span] = obs.source_window
-        off += span
-    for action in reversed(window.actions):
-        x[off + action.index] = 1.0
-        off += ACTION_COUNT
+    for slot, obs in enumerate(reversed(window.observations)):
+        _write_observation(x, slot * spec.per_obs, obs, window.no_context, spec)
+    off = spec.obs_slots * spec.per_obs
+    for slot, action in enumerate(reversed(window.actions)):
+        x[off + slot * ACTION_COUNT + action.index] = 1.0
     return x
 
 
-class ReplayMemory:
-    """Bounded FIFO of transitions with uniform sampling."""
+def _write_observation(
+    x: np.ndarray, off: int, obs: Observation, no_context: bool, spec: EncoderSpec
+) -> None:
+    """Write one observation's encoding into x[off : off + spec.per_obs],
+    which must hold zeros."""
+    x[off + (1 if obs.z_t else 0)] = 1.0
+    off += 2
+    if spec.hmm:
+        x[off] = obs.z_h
+        off += 1
+    else:
+        x[off + (1 if obs.z_h else 0)] = 1.0
+        off += 2
+    z_d = spec.w + 1 if no_context and obs.z_d == NO_FEEDBACK else obs.z_d
+    x[off + z_d + 1] = 1.0
+    off += spec.w + 3
+    x[off : off + spec.delay + 1] = obs.source_window
 
-    def __init__(self, capacity: int):
+
+def _shift(prev: np.ndarray, window: HistoryWindow, spec: EncoderSpec) -> np.ndarray:
+    """encode(window), given prev = the encoding of the window before its
+    last push, when the push left the no-context flag as it was: every slot
+    moves one place older and only the newest observation and action are
+    written."""
+    obs_end = spec.obs_slots * spec.per_obs
+    newest = obs_end - spec.per_obs
+    x = np.empty_like(prev)
+    x[:newest] = prev[spec.per_obs : obs_end]
+    x[newest:obs_end] = 0.0
+    _write_observation(x, newest, window.observations[0], window.no_context, spec)
+    if window.actions:
+        x[obs_end:-ACTION_COUNT] = prev[obs_end + ACTION_COUNT :]
+        x[-ACTION_COUNT:] = 0.0
+        x[len(x) - ACTION_COUNT + window.actions[0].index] = 1.0
+    return x
+
+
+def _row_store(rows: int, width: int) -> np.ndarray:
+    """An uninitialised (rows, width) float64 array on an anonymous mapping,
+    whose pages are backed only once written.  numpy asks for transparent
+    huge pages on arrays of 4 MB and more, which backs a store holding a
+    few rows in 2 MB pages."""
+    return np.frombuffer(mmap.mmap(-1, rows * width * 8), dtype=float).reshape(rows, width)
+
+
+class ReplayMemory:
+    """Bounded FIFO of multi-step blocks over a store of encoded rows.
+
+    Each slot's encoded input is stored once, by add_row, which returns the
+    row's number.  A block (input row, action index, discounted return,
+    bootstrap row, bootstrap discount) refers to its rows by number.
+    Blocks sit in a ring of capacity entries, the oldest overwritten first;
+    sample draws ring positions uniformly and gathers each column with one
+    fancy index.
+
+    Blocks are pushed in increasing input row, so every row before the
+    oldest live block's input row is free.  The rows sit in a ring of their
+    own, as long as the block ring at first (its pages are backed only as
+    rows are written), which grows by half only when every row in it is
+    live.  end_episode frees the rows after the last one a pushed block
+    uses: an episode's unused tail, or all of it when it gave no block.
+    """
+
+    def __init__(self, capacity: int, width: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._data: list = []
-        self._next = 0
+        self._input = np.empty(capacity, dtype=np.int64)
+        self._action = np.empty(capacity, dtype=np.int64)
+        self._return = np.empty(capacity)
+        self._bootstrap = np.empty(capacity, dtype=np.int64)
+        self._discount = np.empty(capacity)
+        self._len = 0
+        self._next = 0  # ring position of the oldest block
+        self._rows = _row_store(capacity, width)
+        self._base = 0  # number of the row at ring position 0
+        self._start = 0  # first row of the episode in progress
+        self._end = 0  # number of the next row added
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._len
 
-    def push(self, item) -> None:
-        if len(self._data) < self.capacity:
-            self._data.append(item)
+    def add_row(self, x) -> int:
+        """Store one encoded input; returns its row number."""
+        size = len(self._rows)
+        first = self._input[self._next] if self._len else self._start
+        if self._end - first == size:
+            grown = _row_store(size + size // 2 + 1, self._rows.shape[1])
+            live = np.arange(first, self._end) - self._base
+            self._rows.take(live, axis=0, mode="wrap", out=grown[:size])
+            self._rows, self._base = grown, int(first)
+        self._rows[(self._end - self._base) % len(self._rows)] = x
+        self._end += 1
+        return self._end - 1
+
+    def push(self, block) -> None:
+        """Add one (input row, action index, return, bootstrap row,
+        bootstrap discount) block, evicting the oldest when full."""
+        i = (self._next + self._len) % self.capacity
+        (
+            self._input[i],
+            self._action[i],
+            self._return[i],
+            self._bootstrap[i],
+            self._discount[i],
+        ) = block
+        if self._len < self.capacity:
+            self._len += 1
         else:
-            self._data[self._next] = item
             self._next = (self._next + 1) % self.capacity
 
-    def sample(self, batch_size: int, rng) -> list:
-        if not self._data:
+    def end_episode(self) -> None:
+        """Free the rows added after the last one a pushed block uses."""
+        if self._len:
+            newest = (self._next + self._len - 1) % self.capacity
+            self._end = int(self._bootstrap[newest]) + 1
+        else:
+            self._end = self._start
+        self._start = self._end
+
+    def sample(self, batch_size: int, rng):
+        """(inputs, action indices, returns, bootstrap inputs, bootstrap
+        discounts) of batch_size blocks drawn uniformly with replacement."""
+        if not self._len:
             raise ValueError("cannot sample from an empty memory")
-        idx = rng.integers(len(self._data), size=batch_size)
-        return [self._data[i] for i in idx]
+        idx = rng.integers(self._len, size=batch_size)
+        return (
+            self._rows.take(self._input[idx] - self._base, axis=0, mode="wrap"),
+            self._action[idx],
+            self._return[idx],
+            self._rows.take(self._bootstrap[idx] - self._base, axis=0, mode="wrap"),
+            self._discount[idx],
+        )
 
 
 def mlp_config_for(spec: EncoderSpec, agent_cfg: AgentConfig) -> MlpConfig:
@@ -239,29 +341,29 @@ def train_step(
     batch,
     eta: float,
     double_argmax: bool = False,
-):
-    """One minibatch SGD step on the mean squared TD error.
+    grads: MlpParams | None = None,
+) -> float:
+    """One minibatch SGD step on the mean squared TD error; updates params
+    in place and returns the loss.
 
-    batch entries are (x, action index, reward, next x, bootstrap discount).
-    The frozen network scores the next window; with double_argmax the
+    batch is what ReplayMemory.sample returns: the inputs, action indices,
+    returns, bootstrap inputs and bootstrap discounts, one array each.  The
+    frozen network scores the bootstrap inputs; with double_argmax the
     online network picks the next action and the frozen one evaluates it.
+    grads, shaped like params, receives the gradient when given.
     """
-    x = np.stack([b[0] for b in batch])
-    actions = np.array([b[1] for b in batch], dtype=int)
-    rewards = np.array([b[2] for b in batch], dtype=float)
-    next_x = np.stack([b[3] for b in batch])
-    disc = np.array([b[4] for b in batch])
-
+    x, actions, returns, next_x, discounts = batch
     q_next = forward_batch(target_params, next_x)
     if double_argmax:
         pick = np.argmax(forward_batch(params, next_x), axis=1)
-        bootstrap = q_next[np.arange(len(batch)), pick]
+        bootstrap = q_next[np.arange(len(pick)), pick]
     else:
         bootstrap = q_next.max(axis=1)
-    targets = rewards + disc * bootstrap
+    targets = returns + discounts * bootstrap
 
-    loss, grads = batch_td_loss_grad(params, x, actions, targets)
-    return sgd_step(params, grads, eta), loss
+    loss, step = batch_td_loss_grad(params, x, actions, targets, out=grads)
+    sgd_step(params, step, eta, out=params)
+    return loss
 
 
 @dataclass
@@ -276,8 +378,9 @@ class TrainingResult:
 def _blocks(inputs, actions, greedy, rewards, multi_step: int, discount: float) -> list:
     """Multi-step blocks of one finished episode, each (input, action index,
     discounted reward sum, bootstrap input, bootstrap discount), in the
-    order they close and oldest first among those closing together.
-    inputs holds one entry per slot plus the input after the last slot.
+    order they close and oldest first among those closing together, which
+    is increasing start slot.  inputs holds one entry per slot plus the
+    input after the last slot (in training, their replay row numbers).
 
     A block ends after multi_step slots, or early at the first non-greedy
     action -- bootstrapping there keeps exploration's windfalls out of the
@@ -314,12 +417,13 @@ def run_training(
     """Full training loop.
 
     Each episode is one rollout of an AgentPolicy over the online network,
-    recorded in a Trace whose compute_metrics give the curves.  Once the
+    recorded in a Trace whose compute_metrics give the curves, while each
+    slot's encoded input goes to the replay memory's row store.  Once the
     episode ends its slots are cut into multi-step blocks for the replay
     memory, discounted by that episode's env config; blocks still open at
     the horizon are dropped, at most multi_step - 1 per episode.  Then come
     grad_steps minibatch SGD steps, each followed by a soft target update,
-    and epsilon decays.
+    both in place, and epsilon decays.
 
     env_schedule optionally remaps the environment config between episodes:
     a sequence of (episode index, EnvConfig) pairs, applied when that
@@ -353,7 +457,8 @@ def run_training(
         explore_slots = spec.padded_slots
     params = init_params(mlp_config_for(spec, agent_cfg), np.random.default_rng(init_ss))
     target = params.copy()
-    memory = ReplayMemory(agent_cfg.replay_capacity)
+    grads = params.copy()  # gradient buffer, and the target update's scratch
+    memory = ReplayMemory(agent_cfg.replay_capacity, spec.input_len)
     policy = AgentPolicy(params, spec, agent_cfg.epsilon_init, explore_slots)
     result = TrainingResult(params)
 
@@ -361,32 +466,32 @@ def run_training(
     for episode in range(episodes):
         cfg = switches.get(episode, cfg)
         trace = Trace()
-        inputs: list = []
+        rows: list[int] = []
         actions: list[int] = []
         greedy: list[bool] = []
 
         def record(t, obs, outcome) -> None:
             trace.append(t, obs, outcome)
-            inputs.append(policy.x)
+            rows.append(memory.add_row(policy.x))
             actions.append(policy.action.index)
             greedy.append(policy.greedy)
 
-        last_obs = rollout(policy, cfg, episode_seeds[episode], explore_rng, record)
-        inputs.append(encode(policy.window.push(last_obs, policy.action), spec))
+        policy.observe(rollout(policy, cfg, episode_seeds[episode], explore_rng, record))
+        rows.append(memory.add_row(policy.x))
         for block in _blocks(
-            inputs, actions, greedy, trace.reward, agent_cfg.multi_step, cfg.discount
+            rows, actions, greedy, trace.reward, agent_cfg.multi_step, cfg.discount
         ):
             memory.push(block)
+        memory.end_episode()
 
         for _ in range(agent_cfg.grad_steps):
             if len(memory) == 0:
                 break
             batch = memory.sample(agent_cfg.batch_size, replay_rng)
-            params, _ = train_step(
-                params, target, batch, agent_cfg.learning_rate, agent_cfg.double_argmax
+            train_step(
+                params, target, batch, agent_cfg.learning_rate, agent_cfg.double_argmax, grads
             )
-            params_lerp(target, params, agent_cfg.target_tau, out=target)
-        policy.params = params
+            params_lerp(target, params, agent_cfg.target_tau, out=target, scratch=grads)
 
         metrics = compute_metrics(trace, cfg.lengths)
         result.episode_rewards.append(metrics.mean_reward)
@@ -432,12 +537,24 @@ class AgentPolicy(Policy):
         self.window = None
         self.action = None
 
-    def act(self, obs: Observation) -> CompressorAction:
+    def observe(self, obs: Observation) -> None:
+        """Move the window and its encoded input x on to obs, which follows
+        the action last taken; the first observation after reset starts a
+        fresh window."""
         if self.window is None:
             self.window = HistoryWindow.initial(obs, self.spec)
+            self.x = encode(self.window, self.spec)
+            return
+        prev = self.window
+        self.window = prev.push(obs, self.action)
+        if self.window.no_context == prev.no_context:
+            self.x = _shift(self.x, self.window, self.spec)
         else:
-            self.window = self.window.push(obs, self.action)
-        self.x = encode(self.window, self.spec)
+            # clearing the mark rewrites every slot without feedback
+            self.x = encode(self.window, self.spec)
+
+    def act(self, obs: Observation) -> CompressorAction:
+        self.observe(obs)
         best = int(np.argmax(forward(self.params, self.x)))
         epsilon = 1.0 if self._slot < self.explore_slots else self.epsilon
         self._slot += 1

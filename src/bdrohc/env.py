@@ -479,20 +479,22 @@ class MetricsReport:
 
 
 def compute_metrics(trace: Trace, lengths: HeaderLengths) -> MetricsReport:
-    """Exact ratios over one trace; rejects empty traces."""
+    """Exact ratios over one trace; rejects empty traces and header codes
+    outside HeaderType."""
     n = len(trace)
     if n == 0:
         raise ValueError("cannot compute metrics on an empty trace")
     payload = lengths.payload_bits
-    sent_bits = 0
-    for code in trace.alpha_c:
-        sent_bits += payload + lengths.header_bits(HeaderType(code))
-    delivered = payload * sum(trace.decode_success)
+    counts = {header: trace.alpha_c.count(header) for header in HeaderType}
+    if sum(counts.values()) != n:
+        raise ValueError(f"trace holds header codes outside {[int(h) for h in HeaderType]}")
+    sent_bits = sum(count * (payload + lengths.header_bits(h)) for h, count in counts.items())
+    decoded = sum(trace.decode_success)
     return MetricsReport(
-        transmission_efficiency=delivered / sent_bits,
+        transmission_efficiency=payload * decoded / sent_bits,
         feedback_rate=sum(trace.alpha_f) / n,
         mean_reward=sum(trace.reward) / n,
-        decode_success_count=sum(trace.decode_success),
+        decode_success_count=decoded,
     )
 
 

@@ -4,6 +4,12 @@ ReLU hidden layers, identity output, double precision throughout.  Gradients
 are hand-rolled reverse mode; the only loss ever differentiated is the
 squared error of the selected output unit against a scalar target, averaged
 over a batch.
+
+The training loop updates in place: batch_td_loss_grad writes into a
+gradient buffer given as out, sgd_step with out=params scales that buffer
+by the learning rate and subtracts it (g *= eta; w -= g rounds exactly as
+w - eta * g), and params_lerp with out and a scratch buffer blends the
+target network without allocating.  Without out each returns fresh arrays.
 """
 
 from __future__ import annotations
@@ -83,11 +89,12 @@ def forward_batch(params: MlpParams, x) -> np.ndarray:
     return h @ params.weights[-1].T + params.biases[-1]
 
 
-def batch_td_loss_grad(params: MlpParams, x, actions, targets):
+def batch_td_loss_grad(params: MlpParams, x, actions, targets, out: MlpParams | None = None):
     """Mean over the batch of (Q[action] - target)**2 and its gradient.
 
     Returns (loss, (weight grads, bias grads)) with grads shaped like the
-    parameters.  Only the selected output unit of each sample feeds back.
+    parameters, written into out's arrays when given.  Only the selected
+    output unit of each sample feeds back.
     """
     x = np.asarray(x, dtype=float)
     actions = np.asarray(actions, dtype=int)
@@ -105,44 +112,63 @@ def batch_td_loss_grad(params: MlpParams, x, actions, targets):
         pre.append(z)
         h = np.maximum(z, 0.0)
         inputs.append(h)
-    out = h @ params.weights[-1].T + params.biases[-1]
+    q = h @ params.weights[-1].T + params.biases[-1]
 
     rows = np.arange(batch)
-    err = out[rows, actions] - targets
+    err = q[rows, actions] - targets
     loss = float(np.mean(err ** 2))
 
-    delta = np.zeros_like(out)
+    delta = np.zeros_like(q)
     delta[rows, actions] = 2.0 * err / batch
-    d_weights: list[np.ndarray] = [np.empty(0)] * n_layers
-    d_biases: list[np.ndarray] = [np.empty(0)] * n_layers
+    d_weights = [None] * n_layers if out is None else out.weights
+    d_biases = [None] * n_layers if out is None else out.biases
     for layer in range(n_layers - 1, -1, -1):
-        d_weights[layer] = delta.T @ inputs[layer]
-        d_biases[layer] = delta.sum(axis=0)
+        d_weights[layer] = np.matmul(delta.T, inputs[layer], out=d_weights[layer])
+        d_biases[layer] = np.sum(delta, axis=0, out=d_biases[layer])
         if layer > 0:
             delta = (delta @ params.weights[layer]) * (pre[layer - 1] > 0.0)
     return loss, (d_weights, d_biases)
 
 
-def sgd_step(params: MlpParams, grads, eta: float) -> MlpParams:
-    """One plain gradient step; returns fresh parameters."""
+def sgd_step(params: MlpParams, grads, eta: float, out: MlpParams | None = None) -> MlpParams:
+    """One plain gradient step, params - eta * grads.  Returns fresh
+    parameters; with out (which may be params itself) the grads are scaled
+    by eta in place and the step is written into out."""
     d_weights, d_biases = grads
-    return MlpParams(
-        [w - eta * g for w, g in zip(params.weights, d_weights)],
-        [b - eta * g for b, g in zip(params.biases, d_biases)],
-    )
+    if out is None:
+        return MlpParams(
+            [w - eta * g for w, g in zip(params.weights, d_weights)],
+            [b - eta * g for b, g in zip(params.biases, d_biases)],
+        )
+    for o, w, g in zip(
+        out.weights + out.biases, params.weights + params.biases, d_weights + d_biases
+    ):
+        g *= eta
+        np.subtract(w, g, out=o)
+    return out
 
 
-def params_lerp(a: MlpParams, b: MlpParams, tau: float, out: MlpParams | None = None) -> MlpParams:
+def params_lerp(
+    a: MlpParams,
+    b: MlpParams,
+    tau: float,
+    out: MlpParams | None = None,
+    scratch: MlpParams | None = None,
+) -> MlpParams:
     """(1 - tau) * a + tau * b, elementwise; written into `out` when given
-    (which may be `a` itself), else returned as fresh parameters."""
+    (which may be `a` itself), else returned as fresh parameters.  With
+    out, scratch (shaped like the parameters, contents overwritten) holds
+    tau * b in place of a fresh array per layer."""
     if out is None:
         return MlpParams(
             [(1.0 - tau) * x + tau * y for x, y in zip(a.weights, b.weights)],
             [(1.0 - tau) * x + tau * y for x, y in zip(a.biases, b.biases)],
         )
-    for o, x, y in zip(out.weights + out.biases, a.weights + a.biases, b.weights + b.biases):
+    outs = out.weights + out.biases
+    spare = [None] * len(outs) if scratch is None else scratch.weights + scratch.biases
+    for o, x, y, s in zip(outs, a.weights + a.biases, b.weights + b.biases, spare):
         np.multiply(x, 1.0 - tau, out=o)
-        o += tau * y
+        o += np.multiply(y, tau, out=s)
     return out
 
 

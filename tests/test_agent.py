@@ -215,6 +215,58 @@ class TestEncoding:
         assert window.actions == (a,)
 
 
+def observations(spec: EncoderSpec):
+    """Observations of spec's layout, feedback levels from -1 to w+1."""
+    z_h = st.floats(-3.0, 3.0) if spec.hmm else st.integers(0, 1)
+    return st.builds(
+        Observation,
+        st.integers(0, 1),
+        z_h,
+        st.integers(-1, spec.w + 1),
+        st.tuples(*[st.integers(0, 1)] * (spec.delay + 1)),
+    )
+
+
+def observe_all(spec: EncoderSpec, steps) -> list[bool]:
+    """Feed (observation, action) steps through AgentPolicy.observe, the
+    action taken after each observation; checks the input after every step
+    against a full encode and returns the window's no-context flags."""
+    policy = AgentPolicy(None, spec)
+    policy.reset(None)
+    flags = []
+    for obs, action in steps:
+        policy.observe(obs)
+        assert np.array_equal(policy.x, encode(policy.window, spec))
+        flags.append(policy.window.no_context)
+        policy.action = action
+    return flags
+
+
+# (hmm, delay, extra): both channels, and at delay 0 with no extra history
+# a window without action slots
+LAYOUTS = [(False, 0, 0), (True, 0, 0), (False, 2, 1), (True, 3, 2), (False, 1, 0), (True, 0, 2)]
+
+
+class TestShiftedEncoding:
+    @pytest.mark.parametrize("hmm,delay,extra", LAYOUTS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_shifted_input_equals_full_encode(self, hmm, delay, extra, data):
+        spec = EncoderSpec(hmm=hmm, w=3, delay=delay, extra=extra)
+        step = st.tuples(observations(spec), st.sampled_from(ACTIONS))
+        steps = data.draw(st.lists(step, max_size=30))
+        observe_all(spec, steps)
+
+    @pytest.mark.parametrize("hmm,delay,extra", LAYOUTS)
+    def test_shift_follows_the_slot_where_the_mark_clears(self, hmm, delay, extra):
+        # IR sends that all arrive: the mark clears once the first lands
+        spec = EncoderSpec(hmm=hmm, w=3, delay=delay, extra=extra)
+        ir = CompressorAction(HeaderType.IR, True)
+        steps = [(Observation(1, 1, t % 5 - 1, (t % 2,) * (delay + 1)), ir) for t in range(12)]
+        flags = observe_all(spec, steps)
+        assert flags[0] and not flags[-1]
+
+
 def linear_policy(bias, rng, epsilon=0.0, explore_slots=0):
     """AgentPolicy over one zero-weight linear layer, whose bias is the
     value vector of every window, reset with rng."""
@@ -285,29 +337,54 @@ class TestSelection:
         assert policy.act_batch(obs, u).tolist() == [2, 2, 2]
 
 
+def columns(*blocks):
+    """ReplayMemory.sample's form of (x, action, return, next x, discount)
+    blocks: one array per field."""
+    x, actions, returns, next_x, discounts = zip(*blocks)
+    return np.stack(x), np.array(actions), np.array(returns), np.stack(next_x), np.array(discounts)
+
+
 class TestTrainStep:
     def test_fixed_point_leaves_params(self):
         # zero net, zero reward, any discount: target = 0 = prediction
         params = MlpParams([np.zeros((3, 4)), np.zeros((6, 3))], [np.zeros(3), np.zeros(6)])
         target = params.copy()
-        batch = [(np.ones(4), 2, 0.0, np.ones(4), 0.9)]
-        out, loss = train_step(params, target, batch, 0.5)
+        before = params.copy()
+        batch = columns((np.ones(4), 2, 0.0, np.ones(4), 0.9))
+        loss = train_step(params, target, batch, 0.5)
         assert loss == 0.0
-        assert params_equal(out, params)
+        assert params_equal(params, before)
 
     def test_single_transition_matches_manual_update(self):
         rng = np.random.default_rng(5)
         cfg = mlp_config_for(EncoderSpec(hmm=False, w=1, delay=0, extra=0), small_agent())
         params = init_params(cfg, rng)
         target = init_params(cfg, rng)
+        before = params.copy()
         x = rng.normal(size=cfg.widths[0])
         nx = rng.normal(size=cfg.widths[0])
-        batch = [(x, 3, 0.7, nx, 0.9)]
-        stepped, _ = train_step(params, target, batch, 0.01)
+        batch = columns((x, 3, 0.7, nx, 0.9))
+        train_step(params, target, batch, 0.01)
         y = 0.7 + 0.9 * float(np.max(forward(target, nx)))
-        _, grads = batch_td_loss_grad(params, x[None, :], [3], [y])
-        manual = sgd_step(params, grads, 0.01)
-        assert params_equal(stepped, manual)
+        _, grads = batch_td_loss_grad(before, x[None, :], [3], [y])
+        manual = sgd_step(before, grads, 0.01)
+        assert params_equal(params, manual)
+
+    def test_gradient_buffer_gives_the_same_step(self):
+        rng = np.random.default_rng(6)
+        cfg = mlp_config_for(EncoderSpec(hmm=False, w=1, delay=0, extra=0), small_agent())
+        params = init_params(cfg, rng)
+        target = init_params(cfg, rng)
+        twin = params.copy()
+        width = cfg.widths[0]
+        batch = columns(
+            *[(rng.normal(size=width), a, 0.5, rng.normal(size=width), 0.9) for a in range(6)]
+        )
+        grads = params.copy()
+        for _ in range(3):
+            loss = train_step(params, target, batch, 0.01)
+            assert train_step(twin, target, batch, 0.01, grads=grads) == loss
+        assert params_equal(params, twin)
 
     def test_decoupled_argmax_uses_online_pick(self):
         # online net scores zero everywhere (argmax 0); frozen net ranks
@@ -316,9 +393,9 @@ class TestTrainStep:
         frozen = MlpParams(
             [np.zeros((6, 4))], [np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])]
         )
-        batch = [(np.zeros(4), 0, 0.0, np.zeros(4), 0.5)]
-        _, loss_plain = train_step(online, frozen, batch, 0.0, double_argmax=False)
-        _, loss_double = train_step(online, frozen, batch, 0.0, double_argmax=True)
+        batch = columns((np.zeros(4), 0, 0.0, np.zeros(4), 0.5))
+        loss_plain = train_step(online, frozen, batch, 0.0, double_argmax=False)
+        loss_double = train_step(online, frozen, batch, 0.0, double_argmax=True)
         assert loss_plain == pytest.approx(1.0)    # (0 - 0.5 * 2)**2
         assert loss_double == pytest.approx(0.25)  # (0 - 0.5 * 1)**2
 
@@ -327,49 +404,96 @@ class TestTrainStep:
             [np.zeros((6, 4))], [np.array([0.0, 0.0, 0.0, 0.0, 0.0, 8.0])]
         )
         online = MlpParams([np.zeros((6, 4))], [np.zeros(6)])
-        batch = [
+        batch = columns(
             (np.zeros(4), 0, 0.0, np.zeros(4), 0.25),
             (np.zeros(4), 0, 0.0, np.zeros(4), 0.5),
-        ]
+        )
         # each transition bootstraps with its own trailing discount
-        _, loss = train_step(online, frozen, batch, 0.0)
+        loss = train_step(online, frozen, batch, 0.0)
         assert loss == pytest.approx(((0.25 * 8.0) ** 2 + (0.5 * 8.0) ** 2) / 2)
+
+
+def push_value(mem: ReplayMemory, v) -> None:
+    """One block whose input and bootstrap rows hold v, as does its return."""
+    row = mem.add_row([float(v)])
+    mem.push((row, 0, float(v), row, 0.5))
+
+
+def sampled(mem: ReplayMemory, n: int, rng) -> set:
+    """The values of n sampled blocks, checking each block's rows hold its
+    own value."""
+    x, _, returns, next_x, _ = mem.sample(n, rng)
+    assert np.array_equal(x[:, 0], returns) and np.array_equal(next_x[:, 0], returns)
+    return set(returns.tolist())
 
 
 class TestReplayMemory:
     def test_fifo_eviction(self):
-        mem = ReplayMemory(5)
+        mem = ReplayMemory(5, 1)
         for i in range(10):
-            mem.push(i)
+            push_value(mem, i)
         assert len(mem) == 5
-        assert set(mem.sample(500, np.random.default_rng(0))) == {5, 6, 7, 8, 9}
+        assert sampled(mem, 500, np.random.default_rng(0)) == {5, 6, 7, 8, 9}
 
     def test_sample_empty_raises(self):
         with pytest.raises(ValueError):
-            ReplayMemory(3).sample(1, np.random.default_rng(0))
+            ReplayMemory(3, 1).sample(1, np.random.default_rng(0))
 
     def test_sample_only_contents(self):
-        mem = ReplayMemory(4)
+        mem = ReplayMemory(4, 1)
         for i in range(4):
-            mem.push(i)
+            push_value(mem, i)
         rng = np.random.default_rng(2)
         for _ in range(20):
-            assert all(0 <= v < 4 for v in mem.sample(8, rng))
+            assert all(0 <= v < 4 for v in sampled(mem, 8, rng))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            ReplayMemory(0)
+            ReplayMemory(0, 1)
 
-    @given(st.integers(1, 10), st.lists(st.integers(), max_size=40))
+    @given(st.integers(1, 10), st.lists(st.integers(-(2**53), 2**53), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_keeps_last_capacity_items_in_order(self, capacity, values):
         # evictions follow arrival order: after every push the memory holds
         # exactly the last `capacity` values pushed so far
-        mem = ReplayMemory(capacity)
+        mem = ReplayMemory(capacity, 1)
         rng = np.random.default_rng(0)
         for n, v in enumerate(values, start=1):
-            mem.push(v)
-            assert set(mem.sample(500, rng)) == set(values[:n][-capacity:])
+            push_value(mem, v)
+            assert sampled(mem, 500, rng) == set(values[:n][-capacity:])
+
+    @pytest.mark.parametrize("capacity,episodes", [(7, 300), (300, 400)])
+    def test_samples_the_rows_encoded_at_each_blocks_slots(self, capacity, episodes):
+        # Horizons of 1 to 5 slots under 3-step blocks: the short episodes
+        # often give no block, so their rows go unused.  The block ring
+        # wraps many times, and every 100th episode runs 300 slots, so the
+        # row ring outgrows its first size with live rows on both sides of
+        # its wrap.
+        rng = np.random.default_rng(capacity)
+        mem = ReplayMemory(capacity, 3)
+        live: dict[float, tuple] = {}  # return -> the block over the encoded rows
+        for episode in range(episodes):
+            horizon = 300 if episode % 100 == 99 else int(rng.integers(1, 6))
+            encoded = list(rng.normal(size=(horizon + 1, 3)))
+            rows = [mem.add_row(x) for x in encoded]
+            actions = rng.integers(6, size=horizon).tolist()
+            greedy = (rng.random(horizon) < 0.8).tolist()
+            rewards = rng.normal(size=horizon).tolist()
+            pushed = _blocks(rows, actions, greedy, rewards, 3, 0.9)
+            expected = _blocks(encoded, actions, greedy, rewards, 3, 0.9)
+            for block, want in zip(pushed, expected):
+                mem.push(block)
+                live[want[2]] = want
+            mem.end_episode()
+            live = dict(list(live.items())[-capacity:])
+            assert len(mem) == len(live)
+            if not live:
+                continue
+            x, actions_s, returns, next_x, discounts = mem.sample(32, rng)
+            for i, ret in enumerate(returns.tolist()):
+                want = live[ret]
+                assert np.array_equal(x[i], want[0]) and np.array_equal(next_x[i], want[3])
+                assert (actions_s[i], discounts[i]) == (want[1], want[4])
 
 
 class TestBlocks:

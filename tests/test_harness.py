@@ -68,6 +68,10 @@ class TestMetrics:
         assert m.transmission_efficiency == pytest.approx(40.0 / 122.0, abs=1e-15)
         assert m.decode_success_count == 2
 
+    def test_rejects_unknown_header_code(self):
+        with pytest.raises(ValueError):
+            compute_metrics(synthetic_trace([0, 3, 2], [0, 1, 1]), LENGTHS)
+
     def test_all_failures_give_zero(self):
         trace = synthetic_trace([1, 1, 1], [0, 0, 0])
         assert compute_metrics(trace, LENGTHS).transmission_efficiency == 0.0
@@ -681,6 +685,19 @@ _KT_EVAL_DIGESTS = {
 }
 
 
+# sha256 of the train curve CSV and the checkpoint parameter file
+_TRAIN_DIGESTS = {
+    "fig4": (
+        "f0505b43b7c21341b6875dd10f32ab0a28a9320a2911fd138ae80609be0de351",
+        "442495a31be985c0abf0213d1ca7b8423285818af85007af469c1e3a818ccf19",
+    ),
+    "fig13": (
+        "c283eed487990017e1dad639cefc4de2ebc9cd1c1b9d4d48cb84e5460039dd80",
+        "db87e08d9502751b56216deed35d80e6bdf68a1f86194b29b4bf2bef4ab7b266",
+    ),
+}
+
+
 class TestStreamPins:
     @pytest.mark.parametrize("preset", sorted(_KT_EVAL_DIGESTS))
     def test_kt_eval_outputs_are_pinned(self, tmp_path, preset):
@@ -690,3 +707,16 @@ class TestStreamPins:
         assert cli.main(argv) == 0
         digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (trace, out))
         assert digests == _KT_EVAL_DIGESTS[preset]
+
+    @pytest.mark.parametrize("preset", sorted(_TRAIN_DIGESTS))
+    def test_training_outputs_are_pinned(self, tmp_path, preset):
+        # three episodes of about 200 blocks each wrap the 250-block replay
+        out, cfg = tmp_path / "train.csv", tmp_path / "train.cfg"
+        cfg.write_text(
+            "run.m = 3\nenv.t = 200\nagent.width = 16\nagent.k = 20\nagent.replay = 250\n"
+        )
+        argv = ["train", "--preset", preset, "--config", str(cfg), "--seed", "0", "--out", str(out)]
+        assert cli.main(argv) == 0
+        params = tmp_path / "train.csv.params"
+        digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, params))
+        assert digests == _TRAIN_DIGESTS[preset]

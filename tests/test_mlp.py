@@ -265,6 +265,13 @@ class TestLerp:
         assert out is a
         assert params_equal(a, fresh)
 
+    def test_scratch_blend_matches_fresh(self):
+        a = make([4, 3, 6], seed=30)
+        b = make([4, 3, 6], seed=31)
+        fresh = params_lerp(a, b, 0.3)
+        params_lerp(a, b, 0.3, out=a, scratch=make([4, 3, 6], seed=32))
+        assert params_equal(a, fresh)
+
 
 class TestSgd:
     def test_zero_rate_is_identity(self):
@@ -279,6 +286,26 @@ class TestSgd:
         _, grads = batch_td_loss_grad(p, np.ones(4)[None, :], [0], [5.0])
         sgd_step(p, grads, 0.1)
         assert params_equal(p, before)
+
+    def test_in_place_step_matches_fresh(self):
+        # g *= eta; w -= g rounds exactly as w - eta * g
+        p = make([4, 3, 6], seed=7)
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        _, grads = batch_td_loss_grad(p, x, [0, 1, 2, 3, 4], [5.0, -1.0, 0.5, 2.0, 0.0])
+        fresh = sgd_step(p, grads, 0.037)
+        assert sgd_step(p, grads, 0.037, out=p) is p
+        assert params_equal(p, fresh)
+
+    def test_gradient_into_buffer_matches_fresh(self):
+        p = make([4, 3, 6], seed=7)
+        x = np.random.default_rng(4).normal(size=(5, 4))
+        args = (p, x, [0, 1, 2, 3, 4], [5.0, -1.0, 0.5, 2.0, 0.0])
+        loss, (gw, gb) = batch_td_loss_grad(*args)
+        buf = make([4, 3, 6], seed=8)
+        loss_buf, (bw, bb) = batch_td_loss_grad(*args, out=buf)
+        assert loss_buf == loss
+        assert all(o is n for o, n in zip(buf.weights + buf.biases, bw + bb))
+        assert all(np.array_equal(o, n) for o, n in zip(gw + gb, bw + bb))
 
     def test_descends_on_fixed_target(self):
         p = make([6, 8, 6], seed=8)
