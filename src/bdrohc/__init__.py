@@ -19,7 +19,6 @@ from .channels import (
     ge_init,
     ge_stationary,
     ge_step,
-    ge_trajectory,
     ge_transmission,
     hmm_init,
     hmm_step,
@@ -62,7 +61,6 @@ from .agent import (
     HistoryWindow,
     ReplayMemory,
     TrainingResult,
-    encode,
     load_checkpoint,
     run_training,
     save_checkpoint,

@@ -2,10 +2,10 @@
 
 The policy input is a sliding window over the last delay + extra + 1
 observations and the delay + extra actions between them, one-hot encoded
-(the fading channel's envelope observation stays real-valued).  Acting
-moves the previous encoded input one slot older and writes only the newest
-observation and action; the full encode runs at reset and on the slot
-where the no-context mark clears.
+(the fading channel's envelope observation stays real-valued).  One
+HistoryWindow holds it for one rollout or for N in lockstep: each slot
+moves every row one slot older and writes only the newest observation and
+action, and the no-context mark is applied when the input is read.
 
 Training follows the usual pattern: each episode is an epsilon-greedy
 rollout of AgentPolicy through env.rollout, whose recorder stores every
@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import ACTION_COUNT, ACTIONS, CompressorAction, HeaderType
 from .env import (
-    NO_FEEDBACK,
     PAD_ACTION,
     BatchObservation,
     EnvConfig,
@@ -139,97 +138,113 @@ class EncoderSpec:
         return Observation(0, z_h, -1, (1,) * (self.delay + 1))
 
 
-@dataclass(frozen=True)
+# 1.0 at the one-hot entry of each action that sends an IR
+_SENDS_IR = np.array([float(a.header == HeaderType.IR) for a in ACTIONS])
+
+
 class HistoryWindow:
-    """Most-recent-first tuples of the observations and actions in scope.
-
-    no_context holds from reset, when the decompressor has no context and
-    the window is padded, until the compressor sees an IR land: only an
-    arriving IR builds a context from none.
-    """
-
-    observations: tuple[Observation, ...]
-    actions: tuple[CompressorAction, ...]
-    no_context: bool = False
-
-    @classmethod
-    def initial(cls, first_obs: Observation, spec: EncoderSpec) -> "HistoryWindow":
-        pads = (spec.pad_observation,) * spec.padded_slots
-        return cls((first_obs,) + pads, (PAD_ACTION,) * spec.action_slots, True)
-
-    def push(self, obs: Observation, action: CompressorAction) -> "HistoryWindow":
-        shifted = (action,) + self.actions
-        # obs reports the arrival of the packet sent `delay` slots before
-        # `action`; its compressibility window spans delay + 1 slots.
-        sent = shifted[len(obs.source_window) - 1]
-        landed = sent.header == HeaderType.IR and obs.z_t == 1
-        return HistoryWindow(
-            (obs,) + self.observations[:-1],
-            shifted[: len(self.actions)],
-            self.no_context and not landed,
-        )
-
-
-def encode(window: HistoryWindow, spec: EncoderSpec) -> np.ndarray:
-    """Flatten a window to the network input, oldest slot first.
+    """Encoded history windows of one rollout or of N in lockstep, one row
+    each, oldest slot first.
 
     Per observation: one-hot arrival flag, channel state (one-hot for
     Gilbert-Elliot, raw envelope for the fading channel), one-hot feedback
     field over {-1, 0..w+1}, then the compressibility bits.  Per action:
     one-hot over the six actions.
 
-    While the window is in no context, every slot without feedback carries
-    the feedback level "no context" (w+1) instead of "no feedback": that is
-    the decompressor's level at reset, and it never recurs once an IR has
-    landed.  Unmarked, the padding encodes exactly like IR sends lost on a
-    bad channel, a history whose decompressor sits in repair context, and
-    once the padding has scrolled out a no-context start looks like a
-    repaired steady state.
+    A window starts at its rollout's first observation, the older slots
+    padded with spec.pad_observation and PAD_ACTION, in no context: the
+    decompressor has none at reset, and only an arriving IR builds one.
+    While a rollout is in no context, every slot of its input without
+    feedback reads as the feedback level "no context" (w+1) instead of "no
+    feedback": that is the decompressor's level at reset, and it never
+    recurs once an IR has landed.  Unmarked, the padding reads exactly like
+    IR sends lost on a bad channel, a history whose decompressor sits in
+    repair context, and once the padding has scrolled out a no-context
+    start looks like a repaired steady state.
+
+    The rows hold the unmarked encoding and x applies the mark, so clearing
+    it is a flag flip.  push moves every row one slot older and writes only
+    the newest observation and action.  One Observation gives one row,
+    indexed by 0 with scalar fields; a BatchObservation gives N rows,
+    indexed by arange(N) with array fields; the same statements serve both.
     """
-    x = np.zeros(spec.input_len)
-    for slot, obs in enumerate(reversed(window.observations)):
-        _write_observation(x, slot * spec.per_obs, obs, window.no_context, spec)
-    off = spec.obs_slots * spec.per_obs
-    for slot, action in enumerate(reversed(window.actions)):
-        x[off + slot * ACTION_COUNT + action.index] = 1.0
-    return x
 
+    def __init__(self, spec: EncoderSpec, first):
+        self.spec = spec
+        batched = np.ndim(first.z_t) > 0
+        n = len(first.z_t) if batched else 1
+        self._rows = np.arange(n) if batched else 0
+        self._enc = enc = np.zeros((n, spec.input_len))
+        obs_end = spec.obs_slots * spec.per_obs
+        newest = obs_end - spec.per_obs
+        # views of the slots push moves and writes, taken once: at one row,
+        # slicing costs about as much as the copy
+        self._obs = (enc[:, :newest], enc[:, spec.per_obs : obs_end])
+        self._actions = (enc[:, obs_end:-ACTION_COUNT], enc[:, obs_end + ACTION_COUNT :])
+        self._newest_obs = enc[:, newest:obs_end]
+        self._newest_action = enc[:, -ACTION_COUNT:]
+        sent = obs_end + spec.extra * ACTION_COUNT
+        self._sent = enc[:, sent : sent + ACTION_COUNT]
+        # the "no feedback" and "no context" entries of every slot
+        self._blank = np.arange(spec.obs_slots) * spec.per_obs + (3 if spec.hmm else 4)
+        self._level = self._blank + spec.w + 2
 
-def _write_observation(
-    x: np.ndarray, off: int, obs: Observation, no_context: bool, spec: EncoderSpec
-) -> None:
-    """Write one observation's encoding into x[off : off + spec.per_obs],
-    which must hold zeros."""
-    x[off + (1 if obs.z_t else 0)] = 1.0
-    off += 2
-    if spec.hmm:
-        x[off] = obs.z_h
-        off += 1
-    else:
-        x[off + (1 if obs.z_h else 0)] = 1.0
-        off += 2
-    z_d = spec.w + 1 if no_context and obs.z_d == NO_FEEDBACK else obs.z_d
-    x[off + z_d + 1] = 1.0
-    off += spec.w + 3
-    x[off : off + spec.delay + 1] = obs.source_window
+        self._write_observation(spec.pad_observation)
+        enc[:, :newest] = np.tile(self._newest_obs, spec.padded_slots)
+        enc[:, obs_end + PAD_ACTION.index :: ACTION_COUNT] = 1.0
+        self._write_observation(first)
+        self.no_context = np.ones(n, dtype=bool)
+        self._marked = True  # no_context.any()
 
+    def push(self, obs, action) -> None:
+        """Move every row on to obs, which follows action (one action
+        index per row)."""
+        spec = self.spec
+        if self._marked:
+            # obs reports the arrival of the packet sent `delay` slots
+            # before action, which before the shift sits at action slot
+            # `extra`
+            if spec.delay:
+                sent_ir = self._sent[self._rows] @ _SENDS_IR
+            else:
+                sent_ir = _SENDS_IR[action]
+            self.no_context &= (sent_ir == 0.0) | (obs.z_t != 1)
+            self._marked = self.no_context.any()
 
-def _shift(prev: np.ndarray, window: HistoryWindow, spec: EncoderSpec) -> np.ndarray:
-    """encode(window), given prev = the encoding of the window before its
-    last push, when the push left the no-context flag as it was: every slot
-    moves one place older and only the newest observation and action are
-    written."""
-    obs_end = spec.obs_slots * spec.per_obs
-    newest = obs_end - spec.per_obs
-    x = np.empty_like(prev)
-    x[:newest] = prev[spec.per_obs : obs_end]
-    x[newest:obs_end] = 0.0
-    _write_observation(x, newest, window.observations[0], window.no_context, spec)
-    if window.actions:
-        x[obs_end:-ACTION_COUNT] = prev[obs_end + ACTION_COUNT :]
-        x[-ACTION_COUNT:] = 0.0
-        x[len(x) - ACTION_COUNT + window.actions[0].index] = 1.0
-    return x
+        older, newer = self._obs
+        older[...] = newer
+        if spec.action_slots:
+            older, newer = self._actions
+            older[...] = newer
+            self._newest_action.fill(0.0)
+            self._newest_action[self._rows, action] = 1.0
+        self._write_observation(obs)
+
+    def _write_observation(self, obs) -> None:
+        """Encode obs, unmarked, into the newest observation slot."""
+        slot = self._newest_obs
+        rows = self._rows
+        slot.fill(0.0)
+        slot[rows, obs.z_t] = 1.0
+        if self.spec.hmm:
+            slot[rows, 2] = obs.z_h
+            off = 3
+        else:
+            slot[rows, 2 + obs.z_h] = 1.0
+            off = 4
+        slot[rows, off + 1 + obs.z_d] = 1.0
+        slot[rows, off + self.spec.w + 3 :] = obs.source_window
+
+    @property
+    def x(self) -> np.ndarray:
+        """The network inputs, one row per rollout, marked where the
+        rollout is in no context."""
+        x = self._enc.copy()
+        if self._marked:
+            marked = np.flatnonzero(self.no_context)[:, None]
+            x[marked, self._level] += x[marked, self._blank]
+            x[marked, self._blank] = 0.0
+        return x
 
 
 def _row_store(rows: int, width: int) -> np.ndarray:
@@ -472,12 +487,12 @@ def run_training(
 
         def record(t, obs, outcome) -> None:
             trace.append(t, obs, outcome)
-            rows.append(memory.add_row(policy.x))
-            actions.append(policy.action.index)
+            rows.append(memory.add_row(policy.x[0]))
+            actions.append(policy.taken)
             greedy.append(policy.greedy)
 
         policy.observe(rollout(policy, cfg, episode_seeds[episode], explore_rng, record))
-        rows.append(memory.add_row(policy.x))
+        rows.append(memory.add_row(policy.x[0]))
         for block in _blocks(
             rows, actions, greedy, trace.reward, agent_cfg.multi_step, cfg.discount
         ):
@@ -511,8 +526,10 @@ class AgentPolicy(Policy):
     1 on the first explore_slots slots of an episode: reset-adjacent
     windows recur only once per episode, so exploring starts keep every
     action head covered there.  Greedy ties break low, and a greedy act
-    draws no randomness.  The latest window, its encoded input x, the action
-    taken and whether it was the greedy one stay on the instance.
+    draws no randomness.  act_batch does the same for N lockstep rollouts
+    through one window of N rows.  The window, its encoded inputs x (one
+    row per rollout), the action index taken (one per rollout) and, after
+    act, whether it was the greedy one stay on the instance.
     """
 
     def __init__(
@@ -526,70 +543,54 @@ class AgentPolicy(Policy):
         self._slot = 0
         self.window = None
         self.x = None
-        self.action = None
+        self.taken = None
         self.greedy = True
-        self._windows = None
-        self._prev_batch = None
 
     def reset(self, rng) -> None:
         self._rng = rng
+        self.reset_batch(1)
+
+    def reset_batch(self, rollouts: int) -> None:
         self._slot = 0
         self.window = None
-        self.action = None
 
-    def observe(self, obs: Observation) -> None:
-        """Move the window and its encoded input x on to obs, which follows
-        the action last taken; the first observation after reset starts a
-        fresh window."""
+    def observe(self, obs) -> None:
+        """Move the window on to obs, one Observation or the
+        BatchObservation of N rollouts, which follows the actions last
+        taken, and read its inputs x; the first observation after a reset
+        starts a fresh window."""
         if self.window is None:
-            self.window = HistoryWindow.initial(obs, self.spec)
-            self.x = encode(self.window, self.spec)
-            return
-        prev = self.window
-        self.window = prev.push(obs, self.action)
-        if self.window.no_context == prev.no_context:
-            self.x = _shift(self.x, self.window, self.spec)
+            self.window = HistoryWindow(self.spec, obs)
         else:
-            # clearing the mark rewrites every slot without feedback
-            self.x = encode(self.window, self.spec)
+            self.window.push(obs, self.taken)
+        self.x = self.window.x
+
+    def _epsilon(self) -> float:
+        epsilon = 1.0 if self._slot < self.explore_slots else self.epsilon
+        self._slot += 1
+        return epsilon
 
     def act(self, obs: Observation) -> CompressorAction:
         self.observe(obs)
-        best = int(np.argmax(forward(self.params, self.x)))
-        epsilon = 1.0 if self._slot < self.explore_slots else self.epsilon
-        self._slot += 1
+        best = int(np.argmax(forward(self.params, self.x[0])))
+        epsilon = self._epsilon()
         idx = best
         if epsilon > 0.0 and self._rng.random() < epsilon:
             idx = int(self._rng.integers(ACTION_COUNT))
         self.greedy = idx == best
-        self.action = ACTIONS[idx]
-        return self.action
-
-    def reset_batch(self, rollouts: int) -> None:
-        self._slot = 0
-        self._windows = None
-        self._prev_batch = None
+        self.taken = idx
+        return ACTIONS[idx]
 
     def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
-        """Windows are kept and encoded per rollout, scored by one
-        forward_batch; a rollout explores when u < epsilon, and then
-        u / epsilon picks its action uniformly."""
-        rows = obs.rows()
-        if self._windows is None:
-            self._windows = [HistoryWindow.initial(o, self.spec) for o in rows]
-        else:
-            self._windows = [
-                window.push(o, ACTIONS[a])
-                for window, o, a in zip(self._windows, rows, self._prev_batch.tolist())
-            ]
-        x = np.stack([encode(window, self.spec) for window in self._windows])
-        idx = np.argmax(forward_batch(self.params, x), axis=1)
-        epsilon = 1.0 if self._slot < self.explore_slots else self.epsilon
-        self._slot += 1
+        """All rollouts are scored by one forward_batch; a rollout explores
+        when u < epsilon, and then u / epsilon picks its action uniformly."""
+        self.observe(obs)
+        idx = np.argmax(forward_batch(self.params, self.x), axis=1)
+        epsilon = self._epsilon()
         if epsilon > 0.0:
             pick = np.minimum((u / epsilon * ACTION_COUNT).astype(np.int64), ACTION_COUNT - 1)
             idx = np.where(u < epsilon, pick, idx)
-        self._prev_batch = idx
+        self.taken = idx
         return idx
 
 
@@ -647,7 +648,6 @@ __all__ = [
     "HistoryWindow",
     "ReplayMemory",
     "TrainingResult",
-    "encode",
     "load_checkpoint",
     "mlp_config_for",
     "run_training",

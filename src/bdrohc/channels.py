@@ -87,23 +87,6 @@ def ge_step(state: int, cfg: GilbertElliotConfig, rng) -> int:
     return 0 if rng.random() < cfg.good_to_bad else 1
 
 
-def ge_trajectory(cfg: GilbertElliotConfig, n: int, rng, init: int | None = None) -> np.ndarray:
-    """n chain states after the initial one.  Draws the same uniform stream
-    as ge_step applied n times, so results match the scalar path exactly."""
-    state = ge_init(cfg, rng) if init is None else init
-    p01 = cfg.bad_to_good
-    p10 = cfg.good_to_bad
-    u = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if state == 0:
-            state = 1 if u[i] < p01 else 0
-        else:
-            state = 0 if u[i] < p10 else 1
-        out[i] = state
-    return out
-
-
 def ge_transmission(state: int, header: HeaderType, cfg: GilbertElliotConfig, rng) -> int:
     """Sample the packet arrival flag given the channel state and header."""
     base = cfg.good_success if state == 1 else cfg.bad_success

@@ -112,16 +112,14 @@ def _check_checkpoint_layout(recorded, spec: EncoderSpec, input_width: int) -> N
 
 def _eval_policy_for(cfg, args):
     name = cfg["run.policy"]
-    env_cfg = harness.make_env_config(cfg)
-    agent_cfg = harness.make_agent_config(cfg)
+    harness.make_agent_config(cfg)  # bad agent.* values fail whichever policy runs
     if name == "rl":
         ckpt = cfg["run.checkpoint"]
-        if ckpt:
-            params, agent_cfg, meta = load_checkpoint(ckpt)
-        else:
-            result = run_training(env_cfg, agent_cfg, int(cfg["run.m"]), args.seed)
-            params, meta = result.params, {}
-        spec = EncoderSpec.for_env(env_cfg, agent_cfg)
+        if not ckpt:
+            params, spec, _ = harness.train_point(cfg, args.seed)
+            return AgentPolicy(params, spec)
+        params, agent_cfg, meta = load_checkpoint(ckpt)
+        spec = EncoderSpec.for_env(harness.make_env_config(cfg), agent_cfg)
         _check_checkpoint_layout(meta.get("encoder"), spec, params.widths[0])
         return AgentPolicy(params, spec)
     if name == "kt":

@@ -217,17 +217,6 @@ class BatchObservation:
     z_d: np.ndarray
     source_window: np.ndarray
 
-    def rows(self) -> list[Observation]:
-        return [
-            Observation(t, h, d, tuple(s))
-            for t, h, d, s in zip(
-                self.z_t.tolist(),
-                self.z_h.tolist(),
-                self.z_d.tolist(),
-                self.source_window.tolist(),
-            )
-        ]
-
 
 def _decompressor_table(w: int) -> np.ndarray:
     """next_level[level, header, tx_ok, compressible], filled from

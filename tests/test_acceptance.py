@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from bdrohc.agent import (
     AgentPolicy,
     EncoderSpec,
     HistoryWindow,
-    encode,
     run_training,
 )
 from bdrohc.baselines import (
@@ -37,7 +37,8 @@ from bdrohc.channels import (
     HmmChannelConfig,
     ObsNoiseConfig,
     ge_stationary,
-    ge_trajectory,
+    ge_init,
+    ge_step,
     hmm_trajectory,
     hmm_transmission,
     success_probability,
@@ -99,8 +100,15 @@ class TestTwoStateChannel:
         worst = 0.0
         for eps_b in (0.1, 0.2, 0.5):
             cfg = GilbertElliotConfig(5.0, eps_b, 0.9, 0.1)
-            states = ge_trajectory(cfg, 1_000_000, rng)
-            gap = abs(float(np.mean(states == 0)) - ge_stationary(cfg))
+            state = ge_init(cfg, rng)
+            # the generator's next 10^6 uniforms drawn in one block: the
+            # values one rng.random() per ge_step would give, in order
+            block = SimpleNamespace(random=iter(rng.random(1_000_000).tolist()).__next__)
+            bad = 0
+            for _ in range(1_000_000):
+                state = ge_step(state, cfg, block)
+                bad += state == 0
+            gap = abs(bad / 1_000_000 - ge_stationary(cfg))
             worst = max(worst, gap)
         elapsed = time.monotonic() - t0
         report(
@@ -359,7 +367,7 @@ class TestExhaustiveOptimum:
         at_reset = []
         for z_h in (0, 1):
             obs = dataclasses.replace(reset_obs, z_h=z_h)
-            q = forward(result.params, encode(HistoryWindow.initial(obs, spec), spec))
+            q = forward(result.params, HistoryWindow(spec, obs).x[0])
             at_reset.append(
                 f"z_h={z_h}: {action_name(int(np.argmax(q)))} "
                 f"[{' '.join(f'{v:.2f}' for v in q)}]"

@@ -1,6 +1,9 @@
 """Agent tests: history encoding layout, action selection, replay memory,
 multi-step blocks, training-loop bookkeeping, checkpoints."""
 
+import dataclasses
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,6 @@ from bdrohc.agent import (
     HistoryWindow,
     ReplayMemory,
     _blocks,
-    encode,
     load_checkpoint,
     mlp_config_for,
     run_training,
@@ -21,8 +23,9 @@ from bdrohc.agent import (
     train_step,
 )
 from bdrohc.channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
-from bdrohc.core import ACTIONS, CompressorAction, HeaderLengths, HeaderType, SourceDynamics
+from bdrohc.core import ACTION_COUNT, ACTIONS, CompressorAction, HeaderLengths, HeaderType, SourceDynamics
 from bdrohc.env import (
+    NO_FEEDBACK,
     PAD_ACTION,
     BatchObservation,
     EnvConfig,
@@ -117,27 +120,93 @@ class TestEncoderSpec:
         assert pad.source_window == (1, 1, 1, 1)
 
 
+def reference_encode(observations, actions, no_context: bool, spec: EncoderSpec) -> np.ndarray:
+    """The encoded input by a full walk over a window's observations and
+    actions, each most recent first; HistoryWindow must build the same one
+    slot at a time."""
+    x = np.zeros(spec.input_len)
+    for slot, obs in enumerate(reversed(observations)):
+        off = slot * spec.per_obs
+        x[off + (1 if obs.z_t else 0)] = 1.0
+        off += 2
+        if spec.hmm:
+            x[off] = obs.z_h
+            off += 1
+        else:
+            x[off + (1 if obs.z_h else 0)] = 1.0
+            off += 2
+        z_d = spec.w + 1 if no_context and obs.z_d == NO_FEEDBACK else obs.z_d
+        x[off + z_d + 1] = 1.0
+        off += spec.w + 3
+        x[off : off + spec.delay + 1] = obs.source_window
+    off = spec.obs_slots * spec.per_obs
+    for slot, action in enumerate(reversed(actions)):
+        x[off + slot * ACTION_COUNT + action.index] = 1.0
+    return x
+
+
+@dataclass(frozen=True)
+class ReferenceWindow:
+    """Most-recent-first tuples of the observations and actions in scope,
+    and the no-context flag, moved on one push at a time."""
+
+    observations: tuple
+    actions: tuple
+    no_context: bool
+
+    @classmethod
+    def initial(cls, first: Observation, spec: EncoderSpec) -> "ReferenceWindow":
+        pads = (spec.pad_observation,) * spec.padded_slots
+        return cls((first,) + pads, (PAD_ACTION,) * spec.action_slots, True)
+
+    def push(self, obs: Observation, action: CompressorAction) -> "ReferenceWindow":
+        shifted = (action,) + self.actions
+        # obs reports the arrival of the packet sent `delay` slots before
+        # action; its compressibility window spans delay + 1 slots
+        sent = shifted[len(obs.source_window) - 1]
+        landed = sent.header == HeaderType.IR and obs.z_t == 1
+        return ReferenceWindow(
+            (obs,) + self.observations[:-1],
+            shifted[: len(self.actions)],
+            self.no_context and not landed,
+        )
+
+    def encode(self, spec: EncoderSpec) -> np.ndarray:
+        return reference_encode(self.observations, self.actions, self.no_context, spec)
+
+
+def landed_window(spec: EncoderSpec) -> HistoryWindow:
+    """A one-row window whose mark has cleared: the first packet reported
+    is an IR that arrives (padding at delay > 0, the one sent at delay 0)."""
+    arrived = Observation(1, 0.0 if spec.hmm else 0, -1, (1,) * (spec.delay + 1))
+    window = HistoryWindow(spec, arrived)
+    window.push(arrived, PAD_ACTION.index)
+    assert not window.no_context.any()
+    return window
+
+
 class TestEncoding:
     def test_single_slot_layout(self):
         spec = EncoderSpec(hmm=False, w=1, delay=0, extra=0)
         obs = Observation(1, 0, 2, (1,))
-        window = HistoryWindow((obs,), ())
-        x = encode(window, spec)
-        assert x.tolist() == [0, 1, 1, 0, 0, 0, 0, 1, 1]
+        window = HistoryWindow(spec, obs)
+        assert window.x[0].tolist() == [0, 1, 1, 0, 0, 0, 0, 1, 1]
 
     def test_no_feedback_slot_layout(self):
         spec = EncoderSpec(hmm=False, w=1, delay=0, extra=0)
-        obs = Observation(0, 1, -1, (0,))
-        x = encode(HistoryWindow((obs,), ()), spec)
-        assert x.tolist() == [1, 0, 0, 1, 1, 0, 0, 0, 0]
+        window = landed_window(spec)
+        window.push(Observation(0, 1, -1, (0,)), ACTIONS[0].index)
+        assert window.x[0].tolist() == [1, 0, 0, 1, 1, 0, 0, 0, 0]
 
     def test_oldest_slot_comes_first(self):
         spec = EncoderSpec(hmm=False, w=1, delay=0, extra=1)
         newest = Observation(1, 0, -1, (1,))
         oldest = Observation(0, 1, -1, (0,))
         action = CompressorAction(HeaderType.CO3, True)
-        window = HistoryWindow((newest, oldest), (action,))
-        x = encode(window, spec)
+        window = landed_window(spec)
+        window.push(oldest, ACTIONS[0].index)
+        window.push(newest, action.index)
+        x = window.x[0]
         assert x[0:9].tolist() == [1, 0, 0, 1, 1, 0, 0, 0, 0]
         assert x[9:18].tolist() == [0, 1, 1, 0, 1, 0, 0, 0, 1]
         expected_action = [0.0] * 6
@@ -146,18 +215,16 @@ class TestEncoding:
 
     def test_hmm_envelope_stays_real(self):
         spec = EncoderSpec(hmm=True, w=1, delay=0, extra=0)
-        obs = Observation(0, 1.75, -1, (1,))
-        x = encode(HistoryWindow((obs,), ()), spec)
-        assert x[2] == 1.75
+        window = HistoryWindow(spec, Observation(0, 1.75, -1, (1,)))
+        assert window.x[0, 2] == 1.75
 
     def test_initial_window_pads(self):
         spec = EncoderSpec(hmm=False, w=5, delay=2, extra=1)
         first = Observation(1, 0, -1, (1, 1, 1))
-        window = HistoryWindow.initial(first, spec)
-        assert len(window.observations) == spec.obs_slots
-        assert window.observations[0] == first
-        assert all(o == spec.pad_observation for o in window.observations[1:])
-        assert window.actions == (PAD_ACTION,) * spec.action_slots
+        window = HistoryWindow(spec, first)
+        pads = (spec.pad_observation,) * spec.padded_slots
+        expected = reference_encode((first,) + pads, (PAD_ACTION,) * spec.action_slots, True, spec)
+        assert np.array_equal(window.x[0], expected)
 
     def test_initial_window_is_marked_no_context(self):
         # Unmarked, the padding encodes exactly like a real history of IR
@@ -165,54 +232,67 @@ class TestEncoding:
         # context; the start window must encode differently.
         spec = EncoderSpec(hmm=False, w=5, delay=2, extra=1)
         first = Observation(0, 0, -1, (1, 1, 1))
-        start = HistoryWindow.initial(first, spec)
-        assert start.no_context
-        aliased = HistoryWindow(start.observations, start.actions)
-        assert not np.array_equal(encode(start, spec), encode(aliased, spec))
+        start = HistoryWindow(spec, first)
+        assert start.no_context.tolist() == [True]
+        aliased = ReferenceWindow.initial(first, spec)
+        aliased = dataclasses.replace(aliased, no_context=False)
+        x = start.x[0]
+        assert not np.array_equal(x, aliased.encode(spec))
         # every slot without feedback carries the no-context level w+1
-        x = encode(start, spec)
         for slot in range(spec.obs_slots):
             z_d = x[slot * spec.per_obs + 4 : slot * spec.per_obs + 4 + spec.w + 3]
             assert z_d.tolist() == [0.0] * (spec.w + 2) + [1.0]
 
     def test_feedback_survives_the_mark(self):
         spec = EncoderSpec(hmm=False, w=1, delay=0, extra=0)
-        reported = Observation(0, 0, 1, (1,))
-        x = encode(HistoryWindow((reported,), (), no_context=True), spec)
-        assert x[4:8].tolist() == [0, 0, 1, 0]
+        window = HistoryWindow(spec, Observation(0, 0, 1, (1,)))
+        assert window.no_context.tolist() == [True]
+        assert window.x[0, 4:8].tolist() == [0, 0, 1, 0]
 
     def test_no_context_ends_when_an_ir_lands(self):
         spec = EncoderSpec(hmm=False, w=1, delay=0, extra=1)
-        start = HistoryWindow.initial(Observation(0, 0, -1, (1,)), spec)
-        ir = CompressorAction(HeaderType.IR, False)
-        co7 = CompressorAction(HeaderType.CO7, False)
+        ir = CompressorAction(HeaderType.IR, False).index
+        co7 = CompressorAction(HeaderType.CO7, False).index
+
+        def pushed(obs, action) -> HistoryWindow:
+            window = HistoryWindow(spec, Observation(0, 0, -1, (1,)))
+            window.push(obs, action)
+            return window
+
         # an arriving CO7 cannot build a context, a lost IR neither
-        assert start.push(Observation(1, 1, -1, (1,)), co7).no_context
-        assert start.push(Observation(0, 1, -1, (1,)), ir).no_context
-        landed = start.push(Observation(1, 1, -1, (1,)), ir)
-        assert not landed.no_context
-        assert not landed.push(Observation(0, 0, -1, (1,)), co7).no_context
+        assert pushed(Observation(1, 1, -1, (1,)), co7).no_context.all()
+        assert pushed(Observation(0, 1, -1, (1,)), ir).no_context.all()
+        landed = pushed(Observation(1, 1, -1, (1,)), ir)
+        assert not landed.no_context.any()
+        landed.push(Observation(0, 0, -1, (1,)), co7)
+        assert not landed.no_context.any()
 
     def test_no_context_follows_the_delayed_packet(self):
         # at delay 1 the arrival flag reports the action sent one slot
         # earlier: the padding's IR at first, then the compressor's own
         spec = EncoderSpec(hmm=False, w=5, delay=1, extra=1)
-        start = HistoryWindow.initial(Observation(0, 0, -1, (1, 1)), spec)
-        co7 = CompressorAction(HeaderType.CO7, False)
-        assert not start.push(Observation(1, 1, -1, (1, 1)), co7).no_context
-        lost = start.push(Observation(0, 1, -1, (1, 1)), co7)
-        assert lost.no_context
-        assert lost.push(Observation(1, 1, -1, (1, 1)), co7).no_context
+        co7 = CompressorAction(HeaderType.CO7, False).index
+
+        def start() -> HistoryWindow:
+            return HistoryWindow(spec, Observation(0, 0, -1, (1, 1)))
+
+        arrived = start()
+        arrived.push(Observation(1, 1, -1, (1, 1)), co7)
+        assert not arrived.no_context.any()
+        lost = start()
+        lost.push(Observation(0, 1, -1, (1, 1)), co7)
+        assert lost.no_context.all()
+        lost.push(Observation(1, 1, -1, (1, 1)), co7)
+        assert lost.no_context.all()
 
     def test_push_shifts_out_oldest(self):
         spec = EncoderSpec(hmm=False, w=5, delay=1, extra=0)
         o1 = Observation(1, 0, -1, (1, 1))
         o2 = Observation(0, 1, -1, (0, 1))
-        window = HistoryWindow.initial(o1, spec)
+        window = HistoryWindow(spec, o1)
         a = ACTIONS[3]
-        window = window.push(o2, a)
-        assert window.observations == (o2, o1)
-        assert window.actions == (a,)
+        window.push(o2, a.index)
+        assert np.array_equal(window.x[0], reference_encode((o2, o1), (a,), True, spec))
 
 
 def observations(spec: EncoderSpec):
@@ -227,18 +307,40 @@ def observations(spec: EncoderSpec):
     )
 
 
-def observe_all(spec: EncoderSpec, steps) -> list[bool]:
-    """Feed (observation, action) steps through AgentPolicy.observe, the
-    action taken after each observation; checks the input after every step
-    against a full encode and returns the window's no-context flags."""
-    policy = AgentPolicy(None, spec)
-    policy.reset(None)
+def batch_of(rows) -> BatchObservation:
+    return BatchObservation(
+        np.array([o.z_t for o in rows]),
+        np.array([o.z_h for o in rows]),
+        np.array([o.z_d for o in rows]),
+        np.array([o.source_window for o in rows]),
+    )
+
+
+def check_windows(spec: EncoderSpec, firsts, steps) -> list[list[bool]]:
+    """Drive one window per rollout and one window over all of them with
+    the same first observations, then (observations, actions) steps, one
+    entry per rollout each.  After every push, every rollout's row in both
+    must equal the reference encoding.  Returns the no-context flags of
+    each step, one per rollout."""
+    singles = [HistoryWindow(spec, first) for first in firsts]
+    batch = HistoryWindow(spec, batch_of(firsts))
+    references = [ReferenceWindow.initial(first, spec) for first in firsts]
     flags = []
-    for obs, action in steps:
-        policy.observe(obs)
-        assert np.array_equal(policy.x, encode(policy.window, spec))
-        flags.append(policy.window.no_context)
-        policy.action = action
+    for step in [None] + list(steps):
+        if step is not None:
+            observed, actions = step
+            for single, obs, action in zip(singles, observed, actions):
+                single.push(obs, action.index)
+            batch.push(batch_of(observed), np.array([a.index for a in actions]))
+            references = [r.push(o, a) for r, o, a in zip(references, observed, actions)]
+        x = batch.x
+        for row, (single, reference) in enumerate(zip(singles, references)):
+            expected = reference.encode(spec)
+            assert np.array_equal(single.x[0], expected)
+            assert np.array_equal(x[row], expected)
+            assert single.no_context.tolist() == [reference.no_context]
+        flags.append([r.no_context for r in references])
+        assert batch.no_context.tolist() == flags[-1]
     return flags
 
 
@@ -253,18 +355,34 @@ class TestShiftedEncoding:
     @settings(max_examples=40, deadline=None)
     def test_shifted_input_equals_full_encode(self, hmm, delay, extra, data):
         spec = EncoderSpec(hmm=hmm, w=3, delay=delay, extra=extra)
-        step = st.tuples(observations(spec), st.sampled_from(ACTIONS))
-        steps = data.draw(st.lists(step, max_size=30))
-        observe_all(spec, steps)
+        rollouts = data.draw(st.integers(1, 5))
+        slot = st.lists(observations(spec), min_size=rollouts, max_size=rollouts)
+        firsts = data.draw(slot)
+        actions = st.lists(st.sampled_from(ACTIONS), min_size=rollouts, max_size=rollouts)
+        steps = data.draw(st.lists(st.tuples(slot, actions), max_size=30))
+        check_windows(spec, firsts, steps)
 
     @pytest.mark.parametrize("hmm,delay,extra", LAYOUTS)
     def test_shift_follows_the_slot_where_the_mark_clears(self, hmm, delay, extra):
-        # IR sends that all arrive: the mark clears once the first lands
+        # IR sends that arrive only from step 2 * row on: each row reads
+        # marked at the start and after its first 2 * row steps, no longer
         spec = EncoderSpec(hmm=hmm, w=3, delay=delay, extra=extra)
+        rollouts = 4
         ir = CompressorAction(HeaderType.IR, True)
-        steps = [(Observation(1, 1, t % 5 - 1, (t % 2,) * (delay + 1)), ir) for t in range(12)]
-        flags = observe_all(spec, steps)
-        assert flags[0] and not flags[-1]
+        pad = (1,) * (delay + 1)
+        firsts = [Observation(0, 1, -1, pad)] * rollouts
+        steps = [
+            (
+                [
+                    Observation(int(t >= 2 * row), 1, t % 6 - 1, (t % 2,) * (delay + 1))
+                    for row in range(rollouts)
+                ],
+                [ir] * rollouts,
+            )
+            for t in range(7)
+        ]
+        flags = check_windows(spec, firsts, steps)
+        assert [sum(f[row] for f in flags) for row in range(rollouts)] == [1, 3, 5, 7]
 
 
 def linear_policy(bias, rng, epsilon=0.0, explore_slots=0):
@@ -285,7 +403,7 @@ class TestSelection:
         policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], np.random.default_rng(0))
         assert policy.act(OBS) == ACTIONS[2]
         assert policy.greedy
-        assert np.array_equal(policy.x, encode(policy.window, policy.spec))
+        assert np.array_equal(policy.x[0], reference_encode((OBS,), (), True, policy.spec))
 
     def test_greedy_tie_breaks_low(self):
         policy = linear_policy([0.0] * 6, np.random.default_rng(0))

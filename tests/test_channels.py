@@ -14,7 +14,6 @@ from bdrohc.channels import (
     ge_init,
     ge_stationary,
     ge_step,
-    ge_trajectory,
     ge_transmission,
     hmm_init,
     hmm_step,
@@ -30,6 +29,15 @@ from bdrohc.core import HeaderType
 
 def ge(l_b=5.0, eps_b=0.2, b1=0.9, b0=0.1, scale=(1.0, 1.0, 1.0)):
     return GilbertElliotConfig(l_b, eps_b, b1, b0, scale)
+
+
+def ge_states(cfg: GilbertElliotConfig, n: int, rng, state: int) -> np.ndarray:
+    """The n chain states after state, stepped by ge_step on rng."""
+    out = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        state = ge_step(state, cfg, rng)
+        out[i] = state
+    return out
 
 
 class TestGilbertElliot:
@@ -62,34 +70,21 @@ class TestGilbertElliot:
         cfg = ge(5.0, 0.2)
         rng = np.random.default_rng(7)
         state = ge_init(cfg, rng)
-        bad = 0
         n = 1_000_000
-        traj = ge_trajectory(cfg, n, rng, init=state)
+        traj = ge_states(cfg, n, rng, state)
         bad = int(np.sum(traj == 0))
         assert abs(bad / n - ge_stationary(cfg)) < 0.01
 
     @pytest.mark.parametrize("l_b, eps_b", [(5.0, 0.2), (2.0, 0.4)])
     def test_sojourns_and_occupancy_closed_form(self, l_b, eps_b):
         # l_b is the mean good run; the bad run is l_b (1 - eps_b) / eps_b
-        traj = ge_trajectory(ge(l_b, eps_b), 400_000, np.random.default_rng(13), init=1)
+        traj = ge_states(ge(l_b, eps_b), 400_000, np.random.default_rng(13), 1)
         starts = np.flatnonzero(np.diff(traj)) + 1
         lengths = np.diff(starts)  # complete runs only: the first and last are cut
         states = traj[starts[:-1]]
         assert lengths[states == 1].mean() == pytest.approx(l_b, rel=0.03)
         assert lengths[states == 0].mean() == pytest.approx(l_b * (1 - eps_b) / eps_b, rel=0.03)
         assert np.mean(traj == 0) == pytest.approx(1 - eps_b, abs=0.01)
-
-    def test_trajectory_matches_scalar_steps(self):
-        cfg = ge(5.0, 0.2)
-        r1 = np.random.default_rng(11)
-        r2 = np.random.default_rng(11)
-        traj = ge_trajectory(cfg, 1000, r1)
-        state = ge_init(cfg, r2)
-        manual = []
-        for _ in range(1000):
-            state = ge_step(state, cfg, r2)
-            manual.append(state)
-        assert np.array_equal(traj, np.array(manual))
 
     def test_transmission_rates(self):
         cfg = ge(5.0, 0.2, 0.9, 0.1)
@@ -116,8 +111,10 @@ class TestGilbertElliot:
 
     def test_same_seed_same_path(self):
         cfg = ge()
-        a = ge_trajectory(cfg, 500, np.random.default_rng(9))
-        b = ge_trajectory(cfg, 500, np.random.default_rng(9))
+        r1 = np.random.default_rng(9)
+        r2 = np.random.default_rng(9)
+        a = ge_states(cfg, 500, r1, ge_init(cfg, r1))
+        b = ge_states(cfg, 500, r2, ge_init(cfg, r2))
         assert np.array_equal(a, b)
 
 

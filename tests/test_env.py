@@ -348,7 +348,10 @@ class TestBatchEnv:
         expected = [env.reset(s) for env, s in zip(envs, seeds)]
         action = act(HeaderType.IR, fb=True)
         for t in range(20):
-            assert obs.rows() == expected
+            assert obs.z_t.tolist() == [o.z_t for o in expected]
+            assert obs.z_h.tolist() == [o.z_h for o in expected]
+            assert obs.z_d.tolist() == [o.z_d for o in expected]
+            assert obs.source_window.tolist() == [list(o.source_window) for o in expected]
             u = noise[:, 3 + 5 * t : 8 + 5 * t]
             obs, reward = batch.step(np.full(len(seeds), action.index), u)
             outcomes = [env.step(action) for env in envs]
