@@ -248,19 +248,21 @@ class HistoryWindow:
 
 
 def _row_store(rows: int, width: int) -> np.ndarray:
-    """An uninitialised (rows, width) float64 array on an anonymous mapping,
-    whose pages are backed only once written.  numpy asks for transparent
-    huge pages on arrays of 4 MB and more, which backs a store holding a
-    few rows in 2 MB pages."""
-    return np.frombuffer(mmap.mmap(-1, rows * width * 8), dtype=float).reshape(rows, width)
+    """An uninitialised (rows, width) float32 array, the training network's
+    dtype, on an anonymous mapping whose pages are backed only once
+    written.  numpy asks for transparent huge pages on arrays of 4 MB and
+    more, which backs a store holding a few rows in 2 MB pages."""
+    return np.frombuffer(mmap.mmap(-1, rows * width * 4), dtype=np.float32).reshape(rows, width)
 
 
 class ReplayMemory:
     """Bounded FIFO of multi-step blocks over a store of encoded rows.
 
     Each slot's encoded input is stored once, by add_row, which returns the
-    row's number.  A block (input row, action index, discounted return,
-    bootstrap row, bootstrap discount) refers to its rows by number.
+    row's number; rows are held in float32, the dtype training computes in,
+    while returns and discounts stay float64.  A block (input row, action
+    index, discounted return, bootstrap row, bootstrap discount) refers to
+    its rows by number.
     Blocks sit in a ring of capacity entries, the oldest overwritten first;
     sample draws ring positions uniformly and gathers each column with one
     fancy index.
@@ -429,7 +431,9 @@ def run_training(
     seed,
     env_schedule=None,
 ) -> TrainingResult:
-    """Full training loop.
+    """Full training loop, in float32: the network is drawn by init_params
+    and rounded once, and the replay rows, gradients and target network
+    share its dtype.
 
     Each episode is one rollout of an AgentPolicy over the online network,
     recorded in a Trace whose compute_metrics give the curves, while each
@@ -471,6 +475,7 @@ def run_training(
     if explore_slots is None:
         explore_slots = spec.padded_slots
     params = init_params(mlp_config_for(spec, agent_cfg), np.random.default_rng(init_ss))
+    params = params.astype(np.float32)
     target = params.copy()
     grads = params.copy()  # gradient buffer, and the target update's scratch
     memory = ReplayMemory(agent_cfg.replay_capacity, spec.input_len)

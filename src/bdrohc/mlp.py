@@ -1,9 +1,12 @@
 """Plain numpy multilayer perceptron for the action-value head.
 
-ReLU hidden layers, identity output, double precision throughout.  Gradients
-are hand-rolled reverse mode; the only loss ever differentiated is the
-squared error of the selected output unit against a scalar target, averaged
-over a batch.
+ReLU hidden layers, identity output.  The kernels compute in the dtype of
+the weights: inputs and targets are cast to it, and the gradients and
+updated parameters keep it.  init_params draws float64; training rounds
+the network to float32 once, while the gradient checks stay in float64.
+Gradients are hand-rolled reverse mode; the only loss ever differentiated
+is the squared error of the selected output unit against a scalar target,
+averaged over a batch.
 
 The training loop updates in place: batch_td_loss_grad writes into a
 gradient buffer given as out, sgd_step with out=params scales that buffer
@@ -51,6 +54,12 @@ class MlpParams:
     def copy(self) -> "MlpParams":
         return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
+    def astype(self, dtype) -> "MlpParams":
+        """Fresh parameters with every array rounded to dtype."""
+        return MlpParams(
+            [w.astype(dtype) for w in self.weights], [b.astype(dtype) for b in self.biases]
+        )
+
 
 def init_params(cfg: MlpConfig, rng) -> MlpParams:
     """Uniform init scaled by fan-in plus fan-out; zero biases."""
@@ -65,7 +74,7 @@ def init_params(cfg: MlpConfig, rng) -> MlpParams:
 
 def forward(params: MlpParams, x) -> np.ndarray:
     """Action values for a single input vector."""
-    h = np.asarray(x, dtype=float)
+    h = np.asarray(x, dtype=params.weights[0].dtype)
     if h.shape != (params.weights[0].shape[1],):
         raise ValueError(
             f"input shape {h.shape} does not match width {params.weights[0].shape[1]}"
@@ -78,7 +87,7 @@ def forward(params: MlpParams, x) -> np.ndarray:
 
 def forward_batch(params: MlpParams, x) -> np.ndarray:
     """Action values for a (batch, input) matrix."""
-    h = np.asarray(x, dtype=float)
+    h = np.asarray(x, dtype=params.weights[0].dtype)
     if h.ndim != 2 or h.shape[1] != params.weights[0].shape[1]:
         raise ValueError(
             f"batch shape {h.shape} does not match width {params.weights[0].shape[1]}"
@@ -96,9 +105,10 @@ def batch_td_loss_grad(params: MlpParams, x, actions, targets, out: MlpParams | 
     parameters, written into out's arrays when given.  Only the selected
     output unit of each sample feeds back.
     """
-    x = np.asarray(x, dtype=float)
+    dtype = params.weights[0].dtype
+    x = np.asarray(x, dtype=dtype)
     actions = np.asarray(actions, dtype=int)
-    targets = np.asarray(targets, dtype=float)
+    targets = np.asarray(targets, dtype=dtype)
     n_layers = len(params.weights)
     batch = x.shape[0]
     if batch == 0:
@@ -180,24 +190,33 @@ def params_equal(a: MlpParams, b: MlpParams) -> bool:
     )
 
 
-_MAGIC = b"QNET"
+# The magic names the element type.  QNET files hold float64, as every
+# file written before float32 training did.
+_DTYPES = {b"QNET": np.dtype("<f8"), b"QN32": np.dtype("<f4")}
+_MAGICS = {dtype: magic for magic, dtype in _DTYPES.items()}
 
 
 def save_params(params: MlpParams, path) -> None:
-    """Flat binary dump: width list, then per layer the row-major weight
-    matrix followed by the bias vector, all little-endian float64."""
+    """Flat binary dump: a magic naming the element type, the width list,
+    then per layer the row-major weight matrix followed by the bias vector,
+    all little-endian in the dtype of the first weight matrix."""
+    dtype = params.weights[0].dtype.newbyteorder("<")
+    magic = _MAGICS.get(dtype)
+    if magic is None:
+        raise ValueError(f"cannot save {dtype} parameters; float32 and float64 are supported")
     widths = params.widths
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
+        fh.write(magic)
         fh.write(struct.pack("<q", len(widths)))
         fh.write(struct.pack(f"<{len(widths)}q", *widths))
         for w, b in zip(params.weights, params.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(w, dtype=dtype).tobytes())
+            fh.write(np.ascontiguousarray(b, dtype=dtype).tobytes())
 
 
 def load_params(path) -> MlpParams:
-    """Read a save_params dump; a short or overlong file raises ValueError."""
+    """Read a save_params dump in the dtype it was saved in; a short or
+    overlong file raises ValueError."""
     with open(path, "rb") as fh:
 
         def read(size: int) -> bytes:
@@ -206,16 +225,18 @@ def load_params(path) -> MlpParams:
                 raise ValueError(f"parameter file {path} is truncated")
             return data
 
-        if fh.read(4) != _MAGIC:
+        dtype = _DTYPES.get(fh.read(4))
+        if dtype is None:
             raise ValueError(f"{path} is not a parameter file")
         (n,) = struct.unpack("<q", read(8))
         widths = struct.unpack(f"<{n}q", read(8 * n))
+        size = dtype.itemsize
         weights = []
         biases = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            w = np.frombuffer(read(8 * fan_in * fan_out), dtype="<f8")
+            w = np.frombuffer(read(size * fan_in * fan_out), dtype=dtype)
             weights.append(w.reshape(fan_out, fan_in).copy())
-            biases.append(np.frombuffer(read(8 * fan_out), dtype="<f8").copy())
+            biases.append(np.frombuffer(read(size * fan_out), dtype=dtype).copy())
         tail = fh.read()
         if tail:
             raise ValueError(f"trailing bytes in parameter file {path}")

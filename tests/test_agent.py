@@ -569,7 +569,18 @@ class TestReplayMemory:
         with pytest.raises(ValueError):
             ReplayMemory(0, 1)
 
-    @given(st.integers(1, 10), st.lists(st.integers(-(2**53), 2**53), max_size=40))
+    def test_rows_are_float32_and_returns_float64(self):
+        mem = ReplayMemory(4, 3)
+        row = mem.add_row(np.array([0.1, 1.0, -2.0]))
+        mem.push((row, 2, 0.1, row, 0.9))
+        x, _, returns, next_x, discounts = mem.sample(2, np.random.default_rng(0))
+        assert x.dtype == next_x.dtype == np.float32
+        assert np.array_equal(x[0], np.float32([0.1, 1.0, -2.0]))
+        assert returns.dtype == discounts.dtype == np.float64
+        assert returns[0] == 0.1
+
+    # the rows are float32, exact for integers within 2**24
+    @given(st.integers(1, 10), st.lists(st.integers(-(2**24), 2**24), max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_keeps_last_capacity_items_in_order(self, capacity, values):
         # evictions follow arrival order: after every push the memory holds
@@ -592,7 +603,8 @@ class TestReplayMemory:
         live: dict[float, tuple] = {}  # return -> the block over the encoded rows
         for episode in range(episodes):
             horizon = 300 if episode % 100 == 99 else int(rng.integers(1, 6))
-            encoded = list(rng.normal(size=(horizon + 1, 3)))
+            # rounded to the store's float32, so a stored row equals its input
+            encoded = list(rng.normal(size=(horizon + 1, 3)).astype(np.float32))
             rows = [mem.add_row(x) for x in encoded]
             actions = rng.integers(6, size=horizon).tolist()
             greedy = (rng.random(horizon) < 0.8).tolist()
@@ -653,8 +665,13 @@ class TestTraining:
         assert result.episode_rewards == []
         spec = EncoderSpec.for_env(cfg, agent)
         init_ss = np.random.SeedSequence(9).spawn(4)[0]
-        expected = init_params(mlp_config_for(spec, agent), np.random.default_rng(init_ss))
-        assert params_equal(result.params, expected)
+        drawn = init_params(mlp_config_for(spec, agent), np.random.default_rng(init_ss))
+        assert params_equal(result.params, drawn.astype(np.float32))
+
+    def test_trains_in_float32(self):
+        result = run_training(ge_env(horizon=6), small_agent(), 2, seed=3)
+        arrays = result.params.weights + result.params.biases
+        assert all(a.dtype == np.float32 for a in arrays)
 
     def test_curves_have_episode_length(self):
         cfg = ge_env(horizon=8)
@@ -806,6 +823,7 @@ class TestCheckpoint:
         save_checkpoint(path, trained.params, agent, episode=1, epsilon=0.7)
         params, agent_back, meta = load_checkpoint(path)
         assert params_equal(params, trained.params)
+        assert all(a.dtype == np.float32 for a in params.weights + params.biases)
         assert agent_back == agent
         assert meta["episode"] == 1
         assert meta["epsilon"] == 0.7

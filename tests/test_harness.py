@@ -689,11 +689,11 @@ _KT_EVAL_DIGESTS = {
 _TRAIN_DIGESTS = {
     "fig4": (
         "f0505b43b7c21341b6875dd10f32ab0a28a9320a2911fd138ae80609be0de351",
-        "442495a31be985c0abf0213d1ca7b8423285818af85007af469c1e3a818ccf19",
+        "96399a8cc2731ad1005b107a17a53dd88e37b6ea3fa5c59521f0f4bf80e8dc96",
     ),
     "fig13": (
         "c283eed487990017e1dad639cefc4de2ebc9cd1c1b9d4d48cb84e5460039dd80",
-        "db87e08d9502751b56216deed35d80e6bdf68a1f86194b29b4bf2bef4ab7b266",
+        "922cde3b5e0b1ed4c2d3a6e770e315901634996562ae9c6602c497f4b6f71eff",
     ),
 }
 

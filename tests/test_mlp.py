@@ -2,6 +2,7 @@
 against finite differences, optimizer behavior, binary serialization."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -322,20 +323,141 @@ class TestSgd:
         assert losses[-1] < 1e-3
 
 
+class TestFloat32:
+    """The kernels follow the dtype of the params: float32 params give
+    float32 results, which agree with the float64 path to float32
+    precision."""
+
+    WIDTHS = [10, 16, 8, 6]
+
+    def pair(self, seed=20):
+        p64 = make(self.WIDTHS, seed=seed)
+        for b in p64.biases:
+            b += 0.1 * np.random.default_rng(seed + 1).normal(size=b.shape)
+        return p64, p64.astype(np.float32)
+
+    def batch(self, seed=21, rows=7):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(rows, 10)), rng.integers(6, size=rows), rng.normal(size=rows)
+
+    def test_astype_rounds_every_array(self):
+        p64, p32 = self.pair()
+        assert all(a.dtype == np.float32 for a in p32.weights + p32.biases)
+        for a, b in zip(p64.weights + p64.biases, p32.weights + p32.biases):
+            assert np.array_equal(a.astype(np.float32), b)
+
+    def test_forward_follows_params(self):
+        p64, p32 = self.pair()
+        x, _, _ = self.batch()
+        one = forward(p32, x[0])
+        many = forward_batch(p32, x)
+        assert one.dtype == np.float32 and many.dtype == np.float32
+        assert np.allclose(one, forward(p64, x[0]), rtol=1e-5, atol=1e-5)
+        assert np.allclose(many, forward_batch(p64, x), rtol=1e-5, atol=1e-5)
+
+    def test_gradient_follows_params(self):
+        p64, p32 = self.pair()
+        x, actions, targets = self.batch()
+        loss64, (gw64, gb64) = batch_td_loss_grad(p64, x, actions, targets)
+        loss32, (gw32, gb32) = batch_td_loss_grad(p32, x, actions, targets)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
+        for a, b in zip(gw32 + gb32, gw64 + gb64):
+            assert a.dtype == np.float32
+            assert np.allclose(a, b, rtol=1e-4, atol=1e-5)
+
+    def test_gradient_into_float32_buffer(self):
+        _, p32 = self.pair()
+        x, actions, targets = self.batch()
+        loss, (gw, gb) = batch_td_loss_grad(p32, x, actions, targets)
+        buf = p32.copy()
+        loss_buf, (bw, bb) = batch_td_loss_grad(p32, x, actions, targets, out=buf)
+        assert loss_buf == loss
+        assert all(o is n for o, n in zip(buf.weights + buf.biases, bw + bb))
+        assert all(a.dtype == np.float32 for a in bw + bb)
+        assert all(np.array_equal(o, n) for o, n in zip(gw + gb, bw + bb))
+
+    def test_in_place_sgd_step_keeps_float32(self):
+        p64, p32 = self.pair()
+        x, actions, targets = self.batch()
+        stepped64 = sgd_step(p64, batch_td_loss_grad(p64, x, actions, targets)[1], 0.05)
+        _, grads = batch_td_loss_grad(p32, x, actions, targets)
+        fresh = sgd_step(p32, grads, 0.05)
+        assert sgd_step(p32, grads, 0.05, out=p32) is p32
+        assert all(a.dtype == np.float32 for a in p32.weights + p32.biases + fresh.weights)
+        # g *= eta; w -= g rounds exactly as w - eta * g in float32 too
+        assert params_equal(p32, fresh)
+        for a, b in zip(p32.weights + p32.biases, stepped64.weights + stepped64.biases):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-6)
+
+    def test_in_place_lerp_keeps_float32(self):
+        a64, a32 = self.pair(seed=30)
+        b64, b32 = self.pair(seed=31)
+        blend64 = params_lerp(a64, b64, 0.3)
+        fresh = params_lerp(a32, b32, 0.3)
+        params_lerp(a32, b32, 0.3, out=a32, scratch=b32.copy())
+        assert all(a.dtype == np.float32 for a in a32.weights + a32.biases + fresh.biases)
+        assert params_equal(a32, fresh)
+        for a, b in zip(a32.weights + a32.biases, blend64.weights + blend64.biases):
+            assert np.allclose(a, b, rtol=1e-6, atol=1e-7)
+
+
+def old_format_bytes(params) -> bytes:
+    """A parameter file as written before files recorded their dtype."""
+    widths = params.widths
+    data = b"QNET" + struct.pack("<q", len(widths)) + struct.pack(f"<{len(widths)}q", *widths)
+    for w, b in zip(params.weights, params.biases):
+        data += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+    return data
+
+
 class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
+    @staticmethod
+    def check_round_trip(tmp_path, dtype):
         p = make([7, 5, 3, 6], seed=12)
         p.biases[0][:] = np.random.default_rng(13).normal(size=5)
+        p = p.astype(dtype)
         path = tmp_path / "net.bin"
         save_params(p, path)
         q = load_params(path)
         assert q.widths == p.widths
         assert params_equal(p, q)
+        assert all(a.dtype == dtype for a in q.weights + q.biases)
+
+    def test_round_trip_exact(self, tmp_path):
+        self.check_round_trip(tmp_path, np.float64)
+
+    def test_round_trip_exact_in_float32(self, tmp_path):
+        self.check_round_trip(tmp_path, np.float32)
+
+    def test_float32_file_is_half_the_payload(self, tmp_path):
+        p = make([7, 5, 3, 6], seed=12)
+        save_params(p, tmp_path / "f8.bin")
+        save_params(p.astype(np.float32), tmp_path / "f4.bin")
+        header = 4 + 8 + 8 * len(p.widths)
+        f8 = (tmp_path / "f8.bin").stat().st_size - header
+        f4 = (tmp_path / "f4.bin").stat().st_size - header
+        assert f8 == 2 * f4
+
+    def test_file_written_before_dtypes_were_recorded_loads_as_float64(self, tmp_path):
+        p = make([7, 5, 3, 6], seed=14)
+        path = tmp_path / "old.bin"
+        path.write_bytes(old_format_bytes(p))
+        q = load_params(path)
+        assert all(a.dtype == np.float64 for a in q.weights + q.biases)
+        assert params_equal(p, q)
+        # a float64 network is still written in that format, byte for byte
+        save_params(p, tmp_path / "new.bin")
+        assert (tmp_path / "new.bin").read_bytes() == path.read_bytes()
+
+    def test_rejects_unsupported_dtype(self, tmp_path):
+        p = make([4, 3, 6]).astype(np.float16)
+        with pytest.raises(ValueError, match="float16"):
+            save_params(p, tmp_path / "net.bin")
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not a parameter file$"):
             load_params(path)
 
     def test_rejects_trailing_bytes(self, tmp_path):
@@ -344,7 +466,7 @@ class TestSerialization:
         save_params(p, path)
         with open(path, "ab") as fh:
             fh.write(b"\x00")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^trailing bytes in parameter file {re.escape(str(path))}$"):
             load_params(path)
 
     @pytest.mark.parametrize("where", ["header", "weights", "last bias"])
@@ -356,6 +478,14 @@ class TestSerialization:
         # magic, count and three widths take 36 bytes; 4x3 weights follow
         keep = {"header": 10, "weights": 36 + 8 * 5, "last bias": len(data) - 8}[where]
         path.write_bytes(data[:keep])
+        with pytest.raises(ValueError, match=rf"^parameter file {re.escape(str(path))} is truncated$"):
+            load_params(path)
+
+    def test_rejects_truncated_float32_file_naming_it(self, tmp_path):
+        p = make([4, 3, 6]).astype(np.float32)
+        path = tmp_path / "net.bin"
+        save_params(p, path)
+        path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ValueError, match=rf"^parameter file {re.escape(str(path))} is truncated$"):
             load_params(path)
 
