@@ -13,8 +13,13 @@ a run of the same workload, seed, trace level and side replaces the older
 one), and FILE's summary is rebuilt from all the runs it holds:
 
 - untraced runs (--trace 0): per workload, each end-to-end metric of
-  BENCHMARK.json for both sides in seed order, their medians, the parent's
-  interquartile range and the number of pairs the change wins;
+  BENCHMARK.json for both sides in seed order, each side's median and
+  quartiles, the parent's interquartile range, the number of pairs the
+  change wins (a tie is a win for neither side) and gain_shown: whether
+  those runs show a gain by the rule for claiming one, which asks for at
+  least MIN_PAIRS pairs, a change that wins at least WIN_SHARE of them,
+  and a median better than the parent's by more than the parent's
+  interquartile range;
 - traced runs (--trace 1): per workload, each per-layer metric's median
   over the traced runs of each side.
 """
@@ -29,6 +34,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -64,11 +71,24 @@ def keep(record: dict, side: str) -> dict:
     return kept
 
 
-def iqr(values: list) -> float | None:
+def quartiles(values: list) -> list | None:
+    """[first quartile, third quartile], or None for fewer than 2 values."""
     if len(values) < 2:
         return None
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q3 - q1
+    return [q1, q3]
+
+
+def gain_shown(wins: int, pairs: int, gain: float, parent_iqr: float | None) -> bool:
+    """The rule for claiming a gain: enough pairs, the change winning at
+    least WIN_SHARE of them, and medians further apart, in the change's
+    favour, than the parent's interquartile range."""
+    return (
+        pairs >= MIN_PAIRS
+        and wins >= WIN_SHARE * pairs
+        and parent_iqr is not None
+        and gain > parent_iqr
+    )
 
 
 def summarise(runs: list, end_to_end: list) -> dict:
@@ -100,12 +120,18 @@ def summarise(runs: list, end_to_end: list) -> dict:
                     )
                     parent_median = statistics.median(values["parent"])
                     change_median = statistics.median(values["change"])
+                    gain = (parent_median - change_median) * (1 if lower else -1)
+                    q = {side: quartiles(values[side]) for side in SIDES}
+                    parent_iqr = q["parent"][1] - q["parent"][0] if q["parent"] else None
                     entry[name] = {
                         "parent_median": parent_median,
                         "change_median": change_median,
+                        "parent_quartiles": q["parent"],
+                        "change_quartiles": q["change"],
                         "relative_change": change_median / parent_median - 1.0,
                         "change_wins": wins,
-                        "parent_iqr": iqr(values["parent"]),
+                        "parent_iqr": parent_iqr,
+                        "gain_shown": gain_shown(wins, len(seeds), gain, parent_iqr),
                         **values,
                     }
                 summary[workload] = entry

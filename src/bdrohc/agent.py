@@ -9,16 +9,21 @@ action, and the no-context mark is applied when the input is read.
 
 Training follows the usual pattern: each episode is an epsilon-greedy
 rollout of AgentPolicy through env.rollout, whose recorder stores every
-slot's encoded input once as a row of the replay memory.  Once the episode
-ends it is cut into multi-step blocks that refer to those rows, pushed to
-the FIFO, and a run of minibatch SGD steps follows, each gathering its
-batch with one fancy index per column and updating the online network and
-the trailing target network in place.  Then epsilon decays.
+slot's encoded input once as a row of the replay memory.  An exploring act
+runs no forward pass, and the network stays fixed during the rollout, so
+once the episode ends the explored slots' rows are scored in batch-sized
+forward_batch calls to tell which drawn actions were the greedy ones
+anyway.  The episode is then cut into multi-step blocks that refer to
+those rows, pushed to the FIFO, and a run of minibatch SGD steps follows,
+each gathering its batch with one fancy index per column and updating the
+online network and the trailing target network in place.  Then epsilon
+decays.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import mmap
 from dataclasses import asdict, dataclass, field, fields
 
@@ -75,8 +80,8 @@ class AgentConfig:
     double_argmax: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must lie in (0, 1]")
         if not 0.0 <= self.epsilon_floor <= 1.0:
@@ -265,7 +270,7 @@ class ReplayMemory:
     its rows by number.
     Blocks sit in a ring of capacity entries, the oldest overwritten first;
     sample draws ring positions uniformly and gathers each column with one
-    fancy index.
+    fancy index, its rows through gather.
 
     Blocks are pushed in increasing input row, so every row before the
     oldest live block's input row is free.  The rows sit in a ring of their
@@ -307,6 +312,10 @@ class ReplayMemory:
         self._end += 1
         return self._end - 1
 
+    def gather(self, numbers) -> np.ndarray:
+        """The stored rows with the given row numbers, one per number."""
+        return self._rows.take(np.asarray(numbers) - self._base, axis=0, mode="wrap")
+
     def push(self, block) -> None:
         """Add one (input row, action index, return, bootstrap row,
         bootstrap discount) block, evicting the oldest when full."""
@@ -339,10 +348,10 @@ class ReplayMemory:
             raise ValueError("cannot sample from an empty memory")
         idx = rng.integers(self._len, size=batch_size)
         return (
-            self._rows.take(self._input[idx] - self._base, axis=0, mode="wrap"),
+            self.gather(self._input[idx]),
             self._action[idx],
             self._return[idx],
-            self._rows.take(self._bootstrap[idx] - self._base, axis=0, mode="wrap"),
+            self.gather(self._bootstrap[idx]),
             self._discount[idx],
         )
 
@@ -424,6 +433,23 @@ def _blocks(inputs, actions, greedy, rewards, multi_step: int, discount: float) 
     return blocks
 
 
+def _greedy_flags(params: MlpParams, memory: ReplayMemory, rows, actions, explored, chunk: int):
+    """Whether each slot's action was the greedy one: true where the policy
+    did not explore, and where it did, whether the action drawn is the
+    argmax of the slot's stored row, scored by forward_batch chunk rows at a
+    time."""
+    explored = np.asarray(explored, dtype=bool)
+    greedy = ~explored
+    slots = np.flatnonzero(explored)
+    rows = np.asarray(rows)
+    actions = np.asarray(actions)
+    for start in range(0, len(slots), chunk):
+        part = slots[start : start + chunk]
+        q = forward_batch(params, memory.gather(rows[part]))
+        greedy[part] = np.argmax(q, axis=1) == actions[part]
+    return greedy
+
+
 def run_training(
     env_cfg: EnvConfig,
     agent_cfg: AgentConfig,
@@ -438,9 +464,11 @@ def run_training(
     Each episode is one rollout of an AgentPolicy over the online network,
     recorded in a Trace whose compute_metrics give the curves, while each
     slot's encoded input goes to the replay memory's row store.  Once the
-    episode ends its slots are cut into multi-step blocks for the replay
-    memory, discounted by that episode's env config; blocks still open at
-    the horizon are dropped, at most multi_step - 1 per episode.  Then come
+    episode ends, the rows of its explored slots are scored in chunks of
+    batch_size rows to find the greedy actions among the drawn ones, and
+    its slots are cut into multi-step blocks for the replay memory,
+    discounted by that episode's env config; blocks still open at the
+    horizon are dropped, at most multi_step - 1 per episode.  Then come
     grad_steps minibatch SGD steps, each followed by a soft target update,
     both in place, and epsilon decays.
 
@@ -488,16 +516,17 @@ def run_training(
         trace = Trace()
         rows: list[int] = []
         actions: list[int] = []
-        greedy: list[bool] = []
+        explored: list[bool] = []
 
         def record(t, obs, outcome) -> None:
             trace.append(t, obs, outcome)
             rows.append(memory.add_row(policy.x[0]))
             actions.append(policy.taken)
-            greedy.append(policy.greedy)
+            explored.append(policy.explored)
 
         policy.observe(rollout(policy, cfg, episode_seeds[episode], explore_rng, record))
         rows.append(memory.add_row(policy.x[0]))
+        greedy = _greedy_flags(params, memory, rows[:-1], actions, explored, agent_cfg.batch_size)
         for block in _blocks(
             rows, actions, greedy, trace.reward, agent_cfg.multi_step, cfg.discount
         ):
@@ -527,14 +556,16 @@ def run_training(
 class AgentPolicy(Policy):
     """Rollout wrapper around a network; epsilon 0 means greedy.
 
-    Each act scores the window once and acts epsilon-greedily, with epsilon
-    1 on the first explore_slots slots of an episode: reset-adjacent
-    windows recur only once per episode, so exploring starts keep every
-    action head covered there.  Greedy ties break low, and a greedy act
-    draws no randomness.  act_batch does the same for N lockstep rollouts
-    through one window of N rows.  The window, its encoded inputs x (one
-    row per rollout), the action index taken (one per rollout) and, after
-    act, whether it was the greedy one stay on the instance.
+    Each act acts epsilon-greedily, with epsilon 1 on the first
+    explore_slots slots of an episode: reset-adjacent windows recur only
+    once per episode, so exploring starts keep every action head covered
+    there.  It draws the explore decision first; an exploring act draws its
+    action uniformly and runs no forward pass, and otherwise one forward
+    pass scores the window and its argmax is taken, ties breaking low.  At
+    epsilon 0 an act draws no randomness.  act_batch scores all N lockstep
+    rollouts by one forward_batch over one window of N rows.  The window,
+    its encoded inputs x (one row per rollout), the action index taken (one
+    per rollout) and, after act, whether it explored stay on the instance.
     """
 
     def __init__(
@@ -549,7 +580,7 @@ class AgentPolicy(Policy):
         self.window = None
         self.x = None
         self.taken = None
-        self.greedy = True
+        self.explored = False
 
     def reset(self, rng) -> None:
         self._rng = rng
@@ -577,12 +608,12 @@ class AgentPolicy(Policy):
 
     def act(self, obs: Observation) -> CompressorAction:
         self.observe(obs)
-        best = int(np.argmax(forward(self.params, self.x[0])))
         epsilon = self._epsilon()
-        idx = best
-        if epsilon > 0.0 and self._rng.random() < epsilon:
+        self.explored = epsilon > 0.0 and self._rng.random() < epsilon
+        if self.explored:
             idx = int(self._rng.integers(ACTION_COUNT))
-        self.greedy = idx == best
+        else:
+            idx = int(np.argmax(forward(self.params, self.x[0])))
         self.taken = idx
         return ACTIONS[idx]
 

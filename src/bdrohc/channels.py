@@ -117,10 +117,12 @@ class HmmChannelConfig:
             raise ValueError("correlation must lie in [0, 1)")
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if self.tx_power <= 0.0:
-            raise ValueError("tx_power must be positive")
-        if self.obs_noise_var < 0.0:
-            raise ValueError("obs_noise_var must be nonnegative")
+        if not (math.isfinite(self.tx_power) and self.tx_power > 0.0):
+            raise ValueError(f"tx_power must be positive and finite, got {self.tx_power}")
+        if not (math.isfinite(self.obs_noise_var) and self.obs_noise_var >= 0.0):
+            raise ValueError(
+                f"obs_noise_var must be nonnegative and finite, got {self.obs_noise_var}"
+            )
 
 
 @dataclass(frozen=True)

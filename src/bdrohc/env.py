@@ -17,6 +17,7 @@ step and charges the feedback request made d+1 slots ago.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -67,8 +68,10 @@ class EnvConfig:
             raise ValueError("w must be >= 1")
         if self.delay < 0:
             raise ValueError("delay must be >= 0")
-        if self.feedback_penalty < 0.0:
-            raise ValueError("feedback_penalty must be >= 0")
+        if not (math.isfinite(self.feedback_penalty) and self.feedback_penalty >= 0.0):
+            raise ValueError(
+                f"feedback_penalty must be finite and >= 0, got {self.feedback_penalty}"
+            )
         if not 0.0 < self.discount < 1.0:
             raise ValueError("discount must lie in (0, 1)")
         if self.horizon < 0:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdrohc import agent as agent_module
 from bdrohc.agent import (
     AgentConfig,
     AgentPolicy,
@@ -402,7 +403,7 @@ class TestSelection:
     def test_greedy_picks_max(self):
         policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], np.random.default_rng(0))
         assert policy.act(OBS) == ACTIONS[2]
-        assert policy.greedy
+        assert not policy.explored
         assert np.array_equal(policy.x[0], reference_encode((OBS,), (), True, policy.spec))
 
     def test_greedy_tie_breaks_low(self):
@@ -435,11 +436,43 @@ class TestSelection:
                 assert twin.random() < 1.0
                 expected = ACTIONS[int(twin.integers(6))]
                 assert policy.act(OBS) == expected
-                assert policy.greedy == (expected == ACTIONS[2])
+                assert policy.explored
             before = rng.bit_generator.state
             assert policy.act(OBS) == ACTIONS[2]
+            assert not policy.explored
             assert rng.bit_generator.state == before
             policy.reset(rng)
+
+    def test_only_greedy_acts_run_a_forward_pass(self, monkeypatch):
+        calls = []
+
+        def counted(params, x):
+            calls.append(x)
+            return forward(params, x)
+
+        monkeypatch.setattr(agent_module, "forward", counted)
+        # the first slot is an exploring start, the second greedy
+        policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], np.random.default_rng(0), 0.0, 1)
+        policy.act(OBS)
+        assert policy.explored and len(calls) == 0
+        assert policy.act(OBS) == ACTIONS[2]
+        assert not policy.explored and len(calls) == 1
+
+    def test_mixed_acts_draw_like_a_twin_stream(self):
+        # an exploring act draws random() then integers(6), a greedy one
+        # random() alone
+        rng = np.random.default_rng(5)
+        policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], rng, epsilon=0.5)
+        twin = np.random.default_rng(5)
+        explored = []
+        for _ in range(200):
+            explores = twin.random() < 0.5
+            expected = ACTIONS[int(twin.integers(6))] if explores else ACTIONS[2]
+            assert policy.act(OBS) == expected
+            assert policy.explored == explores
+            explored.append(explores)
+        assert 0 < sum(explored) < 200
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_exploring_starts_apply_to_batches(self):
         policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], None, explore_slots=1)
@@ -785,6 +818,34 @@ class TestTraining:
         off = run_training(cfg, small_agent(explore_start_slots=0, **greedy), 2, seed=3)
         assert params_equal(derived.params, explicit.params)
         assert not params_equal(derived.params, off.params)
+
+    def test_blocks_get_the_greedy_flag_of_every_explored_slot(self, monkeypatch):
+        # the flags _blocks receives, scored after the rollout in chunks of
+        # batch_size rows, against a one-row forward at each act
+        acted = []
+        act = AgentPolicy.act
+
+        def recording_act(policy, obs):
+            action = act(policy, obs)
+            best = int(np.argmax(forward(policy.params, policy.x[0])))
+            acted.append((policy.explored, action.index, best))
+            return action
+
+        received = []
+        blocks = agent_module._blocks
+
+        def recording_blocks(inputs, actions, greedy, *rest):
+            received.extend(greedy)
+            return blocks(inputs, actions, greedy, *rest)
+
+        monkeypatch.setattr(AgentPolicy, "act", recording_act)
+        monkeypatch.setattr(agent_module, "_blocks", recording_blocks)
+        agent = small_agent(hidden_width=16, epsilon_init=0.5, epsilon_decay=1.0, epsilon_floor=0.5)
+        run_training(ge_env(horizon=40), agent, 3, seed=6)
+        assert len(received) == len(acted) == 120
+        assert received == [not explored or taken == best for explored, taken, best in acted]
+        drawn = [taken == best for explored, taken, best in acted if explored]
+        assert any(drawn) and not all(drawn)
 
     def test_multi_step_differs_from_single(self):
         cfg = ge_env(horizon=8)

@@ -239,6 +239,22 @@ class TestBuilders:
         got = getattr(build(cfg), name)
         assert got == value and type(got) is type(value)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key,name",
+        [
+            ("agent.eta", "learning_rate"),
+            ("env.lambda", "feedback_penalty"),
+            ("hmm.p_t", "tx_power"),
+            ("hmm.omega_sq", "obs_noise_var"),
+        ],
+    )
+    def test_rejects_non_finite_values_naming_the_field(self, key, name, raw):
+        cfg = parse_config(f"env.channel = hmm\n{key} = {raw}\n")
+        build = make_agent_config if key.startswith("agent.") else make_env_config
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {raw}$"):
+            build(cfg)
+
     def test_kt_config_override(self):
         cfg = default_config()
         assert make_kt_config(cfg).feedback_prob == 0.2
