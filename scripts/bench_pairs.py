@@ -21,7 +21,14 @@ one), and FILE's summary is rebuilt from all the runs it holds:
   and a median better than the parent's by more than the parent's
   interquartile range;
 - traced runs (--trace 1): per workload, each per-layer metric's median
-  over the traced runs of each side.
+  over the traced runs of each side;
+- for both: per workload, the failure messages, by seed, that both sides
+  reported for the same seed (a fault the changed code does not decide)
+  apart from those only one side reported.
+
+Both checkouts must have the same form, both git checkouts or both plain
+copies: a plain copy of the same commit runs measurably slower than a git
+clone, so a mixed pair would time the checkout form as well as the change.
 """
 
 from __future__ import annotations
@@ -91,6 +98,23 @@ def gain_shown(wins: int, pairs: int, gain: float, parent_iqr: float | None) -> 
     )
 
 
+def split_failures(pairs: dict, seeds: list) -> dict:
+    """Per seed, the failure messages both sides reported, and those that
+    only the parent or only the change reported; seeds without any are left
+    out."""
+    split = {"both_sides": {}, "parent_only": {}, "change_only": {}}
+    for parent, change, seed in zip(pairs["parent"], pairs["change"], seeds):
+        parent, change = parent["failures"], change["failures"]
+        for key, messages in (
+            ("both_sides", [m for m in parent if m in change]),
+            ("parent_only", [m for m in parent if m not in change]),
+            ("change_only", [m for m in change if m not in parent]),
+        ):
+            if messages:
+                split[key][str(seed)] = messages
+    return split
+
+
 def summarise(runs: list, end_to_end: list) -> dict:
     by_key = {(r["workload"], r["trace"], r["seed"], r["side"]): r for r in runs}
     summary: dict = {}
@@ -109,6 +133,7 @@ def summarise(runs: list, end_to_end: list) -> dict:
                 "seeds": seeds,
                 "failed_units": {side: sum(r["failed"] for r in pairs[side]) for side in SIDES},
                 "attempted_units": {side: sum(r["attempted"] for r in pairs[side]) for side in SIDES},
+                "failures": split_failures(pairs, seeds),
             }
             if trace == 0:
                 for metric in end_to_end:
@@ -159,6 +184,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    forms = {
+        side: "a git checkout" if (tree / ".git").exists() else "a plain copy"
+        for side, tree in trees.items()
+    }
+    if forms["parent"] != forms["change"]:
+        parser.error(
+            f"--parent is {forms['parent']} and --change is {forms['change']}; "
+            "use the same checkout form on both sides, since it moves the timings"
+        )
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {

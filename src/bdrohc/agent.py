@@ -476,6 +476,8 @@ def run_training(
     a sequence of (episode index, EnvConfig) pairs, applied when that
     episode begins, with the network and replay memory carried across.
     """
+    if episodes < 0:
+        raise ValueError(f"episodes must be >= 0, got {episodes}")
     switches = dict()
     if env_schedule:
         for ep, cfg in env_schedule:

@@ -74,7 +74,7 @@ class KtPolicy(Policy):
             header = HeaderType.CO7
         else:
             header = HeaderType.CO3
-        return CompressorAction(header, request)
+        return ACTIONS[2 * header + request]
 
     def reset_batch(self, rollouts: int) -> None:
         self._latest_batch = np.full(rollouts, NO_FEEDBACK)

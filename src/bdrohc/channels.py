@@ -43,6 +43,11 @@ class GilbertElliotConfig:
     header_scale: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
+        # the transition laws divide by l_b, eps_b and 1/eps_b - 1
+        if not self.mean_bad_duration > 0.0:
+            raise ValueError(f"mean_bad_duration must be > 0, got {self.mean_bad_duration}")
+        if not 0.0 < self.eps_b < 1.0:
+            raise ValueError(f"eps_b must lie in (0, 1), got {self.eps_b}")
         if not 0.0 <= self.bad_success <= self.good_success <= 1.0:
             raise ValueError("need 0 <= bad_success <= good_success <= 1")
         if len(self.header_scale) != 3 or any(s < 0 for s in self.header_scale):

@@ -73,7 +73,7 @@ def _cmd_train(args, cfg) -> int:
     out = args.out or "train_curve.csv"
     env_cfg = harness.make_env_config(cfg)
     agent_cfg = harness.make_agent_config(cfg)
-    episodes = int(cfg["run.m"])
+    episodes = harness.training_episodes(cfg)
     result = run_training(env_cfg, agent_cfg, episodes, args.seed)
     harness.write_curve_csv(out, result)
     ckpt = out + ".params"

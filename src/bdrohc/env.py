@@ -13,6 +13,14 @@ d = 0 the request made this very slot, the earliest that can deliver).
 
 The reward for slot t pays the bandwidth share of the packet decoded this
 step and charges the feedback request made d+1 slots ago.
+
+Both environments step on one slot model, built once per instance as
+tables (the reward share, the decompressor chain, the source law and the
+Gilbert-Elliot laws): RohcEnv, one rollout with one step body for both
+channels, whose Gilbert-Elliot uniforms it draws in blocks, and
+BatchGeEnv, N Gilbert-Elliot rollouts in lockstep on pre-drawn uniforms.
+A row of BatchGeEnv fed the stream of np.random.default_rng(s) follows
+RohcEnv.reset(s) and its steps exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,25 +36,13 @@ from .channels import (
     GilbertElliotConfig,
     HmmChannelConfig,
     ObsNoiseConfig,
-    ge_init,
     ge_stationary,
-    ge_step,
-    ge_transmission,
     hmm_init,
     hmm_step,
     hmm_transmission,
-    observe_channel_ge,
     observe_channel_hmm,
-    observe_transmission,
 )
-from .core import (
-    CompressorAction,
-    HeaderLengths,
-    HeaderType,
-    SourceDynamics,
-    decompressor_step,
-    source_step,
-)
+from .core import CompressorAction, HeaderLengths, HeaderType, SourceDynamics, decompressor_step
 
 PAD_ACTION = CompressorAction(HeaderType.IR, False)
 NO_FEEDBACK = -1
@@ -101,8 +98,7 @@ class Observation:
     source_window: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
     decode_success: bool
     applied_header: HeaderType
     decomp_state: int
@@ -111,114 +107,10 @@ class StepDiagnostics:
     penalized_feedback: int
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     observation: Observation
     reward: float
     diagnostics: StepDiagnostics
-
-
-class RohcEnv:
-    """Single compressor/decompressor pair over one channel.
-
-    Instances are single-threaded; all randomness flows through the
-    generator created at reset, so (config, seed) pins every trajectory.
-    """
-
-    def __init__(self, cfg: EnvConfig):
-        self.cfg = cfg
-        self._rng = None
-        self._clock = 0
-
-    @property
-    def clock(self) -> int:
-        return self._clock
-
-    def reset(self, seed=None) -> Observation:
-        cfg = self.cfg
-        self._rng = np.random.default_rng(seed)
-        self._clock = 0
-        self._level = cfg.w + 1  # no context
-        # the source history as an integer: bit k is the bit k slots back
-        self._src_history = 2**cfg.source.order - 1
-        self._src_window = deque([1] * (cfg.delay + 1), maxlen=cfg.delay + 1)
-        self._actions = deque([PAD_ACTION] * (cfg.delay + 1), maxlen=cfg.delay + 2)
-        if cfg.is_hmm:
-            self._channel = hmm_init(cfg.channel, self._rng)
-            z_h = observe_channel_hmm(
-                self._channel.envelope, cfg.channel.obs_noise_var, self._rng
-            )
-        else:
-            self._channel = ge_init(cfg.channel, self._rng)
-            z_h = observe_channel_ge(self._channel, cfg.noise.eps_h, self._rng)
-        z_t = observe_transmission(0, cfg.noise.eps_t, self._rng)
-        return Observation(z_t, z_h, NO_FEEDBACK, tuple(self._src_window))
-
-    def step(self, action: CompressorAction) -> StepOutcome:
-        cfg = self.cfg
-        if self._rng is None:
-            raise RuntimeError("reset the environment before stepping")
-        if self._clock >= cfg.horizon:
-            raise RuntimeError(f"episode horizon {cfg.horizon} exhausted")
-        rng = self._rng
-
-        self._actions.appendleft(action)
-        evicted = self._actions.pop()      # the action taken d+1 slots back
-        applied = self._actions[-1]        # the action taken d slots back
-
-        if cfg.is_hmm:
-            self._channel, envelope = hmm_step(self._channel, cfg.channel, rng)
-            tx_ok = hmm_transmission(envelope, cfg.channel, rng)
-            z_h = observe_channel_hmm(envelope, cfg.channel.obs_noise_var, rng)
-        else:
-            self._channel = ge_step(self._channel, cfg.channel, rng)
-            tx_ok = ge_transmission(self._channel, applied.header, cfg.channel, rng)
-            z_h = observe_channel_ge(self._channel, cfg.noise.eps_h, rng)
-
-        src_bit = self._src_window[cfg.delay]
-        self._level = decompressor_step(self._level, applied.header, tx_ok, src_bit, cfg.w)
-        success = self._level == 0
-
-        length = cfg.lengths
-        reward = 0.0
-        if success:
-            reward = length.payload_bits / (
-                length.payload_bits + length.header_bits(applied.header)
-            )
-        reward -= cfg.feedback_penalty * int(evicted.request_feedback)
-
-        self._src_history, new_bit = source_step(self._src_history, cfg.source, rng)
-        self._src_window.appendleft(new_bit)
-
-        fb_request = self._actions[cfg.delay - 1 if cfg.delay >= 1 else 0]
-        z_d = self._level if fb_request.request_feedback else NO_FEEDBACK
-        z_t = observe_transmission(tx_ok, cfg.noise.eps_t, rng)
-
-        obs = Observation(z_t, z_h, z_d, tuple(self._src_window))
-        self._clock += 1
-        return StepOutcome(
-            obs,
-            reward,
-            StepDiagnostics(
-                success,
-                applied.header,
-                self._level,
-                tx_ok,
-                src_bit,
-                int(evicted.request_feedback),
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class BatchObservation:
-    """Observations of N lockstep rollouts, one row per rollout; the fields
-    are those of Observation, source_window an (N, delay+1) array."""
-
-    z_t: np.ndarray
-    z_h: np.ndarray
-    z_d: np.ndarray
-    source_window: np.ndarray
 
 
 def _decompressor_table(w: int) -> np.ndarray:
@@ -233,9 +125,166 @@ def _decompressor_table(w: int) -> np.ndarray:
     return table
 
 
+def _slot_tables(cfg: EnvConfig):
+    """The slot model both environments step on, as (share, next_level,
+    p_one, p_bad, p_tx): share[header] is the reward of a decode,
+    next_level[level, header, tx_ok, compressible] the decompressor chain,
+    p_one[history] the source law, p_bad the stationary bad-state
+    probability at reset and p_tx[channel (0 bad, 1 good), header] the
+    Gilbert-Elliot success probability.  p_bad and p_tx are None on the
+    fading channel."""
+    lengths = cfg.lengths
+    share = np.array(
+        [
+            lengths.payload_bits / (lengths.payload_bits + lengths.header_bits(h))
+            for h in HeaderType
+        ]
+    )
+    p_bad = p_tx = None
+    if not cfg.is_hmm:
+        ge = cfg.channel
+        p_bad = ge_stationary(ge)
+        base = np.array([[ge.bad_success], [ge.good_success]])
+        p_tx = np.clip(base * np.array(ge.header_scale), 0.0, 1.0)
+    return share, _decompressor_table(cfg.w), np.array(cfg.source.p_one), p_bad, p_tx
+
+
+# Gilbert-Elliot slots whose uniforms RohcEnv draws in one call.
+_BLOCK_SLOTS = 256
+
+
+class RohcEnv:
+    """Single compressor/decompressor pair over one channel.
+
+    Instances are single-threaded; all randomness flows through the
+    generator created at reset, so (config, seed) pins every trajectory.
+
+    A slot reads the tables of _slot_tables, held as Python lists.  One
+    step body serves both channels; only the channel draw differs.  On the
+    Gilbert-Elliot channel every draw is a uniform: reset takes 3 (initial
+    channel state, channel observation flip, arrival observation flip) and
+    each step 5 (channel step, transmission, channel observation flip,
+    source bit, arrival observation flip), drawn for up to _BLOCK_SLOTS
+    slots at once but never past the horizon, so the generator ends an
+    episode where one draw per use would leave it.  The fading channel
+    draws its normals through the channels functions and then the source
+    and arrival-flip uniforms, one at a time.
+    """
+
+    def __init__(self, cfg: EnvConfig):
+        self.cfg = cfg
+        self._rng = None
+        self._clock = 0
+        self._hmm = cfg.is_hmm
+        share, next_level, p_one, p_bad, p_tx = _slot_tables(cfg)
+        self._share = share.tolist()
+        self._next_level = next_level.tolist()
+        self._p_one = p_one.tolist()
+        self._src_mask = 2**cfg.source.order - 1
+        if not self._hmm:
+            self._p_bad = p_bad
+            self._p_tx = p_tx.tolist()
+            self._good_to_bad = cfg.channel.good_to_bad
+            self._bad_to_good = cfg.channel.bad_to_good
+
+    @property
+    def clock(self) -> int:
+        return self._clock
+
+    def reset(self, seed=None) -> Observation:
+        cfg = self.cfg
+        rng = self._rng = np.random.default_rng(seed)
+        self._clock = 0
+        self._level = cfg.w + 1  # no context
+        # the source history as an integer: bit k is the bit k slots back
+        self._src_history = self._src_mask
+        self._src_window = deque([1] * (cfg.delay + 1), maxlen=cfg.delay + 1)
+        self._actions = deque([PAD_ACTION] * (cfg.delay + 1), maxlen=cfg.delay + 2)
+        if self._hmm:
+            self._channel = hmm_init(cfg.channel, rng)
+            z_h = observe_channel_hmm(self._channel.envelope, cfg.channel.obs_noise_var, rng)
+            u_t = rng.random()
+        else:
+            u_channel, u_h, u_t = rng.random(3).tolist()
+            self._channel = 0 if u_channel < self._p_bad else 1
+            z_h = self._channel ^ (u_h < cfg.noise.eps_h)
+            self._u = []
+            self._next = 0
+        z_t = int(u_t < cfg.noise.eps_t)
+        return Observation(z_t, z_h, NO_FEEDBACK, tuple(self._src_window))
+
+    def step(self, action: CompressorAction) -> StepOutcome:
+        cfg = self.cfg
+        if self._rng is None:
+            raise RuntimeError("reset the environment before stepping")
+        if self._clock >= cfg.horizon:
+            raise RuntimeError(f"episode horizon {cfg.horizon} exhausted")
+
+        actions = self._actions
+        actions.appendleft(action)
+        charged = int(actions.pop().request_feedback)  # the action taken d+1 slots back
+        header = actions[-1].header                     # the action taken d slots back
+
+        if self._hmm:
+            rng = self._rng
+            self._channel, envelope = hmm_step(self._channel, cfg.channel, rng)
+            tx_ok = hmm_transmission(envelope, cfg.channel, rng)
+            z_h = observe_channel_hmm(envelope, cfg.channel.obs_noise_var, rng)
+            u_src = rng.random()
+            u_t = rng.random()
+        else:
+            i = self._next
+            if i == len(self._u):
+                slots = min(_BLOCK_SLOTS, cfg.horizon - self._clock)
+                self._u = self._rng.random(5 * slots).tolist()
+                i = 0
+            u = self._u
+            self._next = i + 5
+            if self._channel == 1:
+                channel = 0 if u[i] < self._good_to_bad else 1
+            else:
+                channel = 1 if u[i] < self._bad_to_good else 0
+            self._channel = channel
+            tx_ok = 1 if u[i + 1] < self._p_tx[channel][header] else 0
+            z_h = channel ^ (u[i + 2] < cfg.noise.eps_h)
+            u_src = u[i + 3]
+            u_t = u[i + 4]
+
+        src_bit = self._src_window[cfg.delay]
+        level = self._level = self._next_level[self._level][header][tx_ok][src_bit]
+        reward = self._share[header] if level == 0 else 0.0
+        reward -= cfg.feedback_penalty * charged
+
+        new_bit = 1 if u_src < self._p_one[self._src_history] else 0
+        self._src_history = ((self._src_history << 1) | new_bit) & self._src_mask
+        self._src_window.appendleft(new_bit)
+
+        # the request that asked for this level, made d-1 slots back (this slot's at d = 0)
+        z_d = level if actions[max(cfg.delay - 1, 0)].request_feedback else NO_FEEDBACK
+        z_t = tx_ok ^ (u_t < cfg.noise.eps_t)
+
+        obs = Observation(z_t, z_h, z_d, tuple(self._src_window))
+        self._clock += 1
+        return StepOutcome(
+            obs, reward, StepDiagnostics(level == 0, header, level, tx_ok, src_bit, charged)
+        )
+
+
+@dataclass(frozen=True)
+class BatchObservation:
+    """Observations of N lockstep rollouts, one row per rollout; the fields
+    are those of Observation, source_window an (N, delay+1) array."""
+
+    z_t: np.ndarray
+    z_h: np.ndarray
+    z_d: np.ndarray
+    source_window: np.ndarray
+
+
 class BatchGeEnv:
     """N Gilbert-Elliot episodes of RohcEnv run in lockstep on pre-drawn
-    uniforms, held as one array per state component.
+    uniforms, held as one array per state component, on the same slot
+    tables as RohcEnv.
 
     reset takes an (N, RESET_DRAWS) block: initial channel state, channel
     observation flip, arrival observation flip.  step takes one action
@@ -245,10 +294,11 @@ class BatchGeEnv:
     the stream of np.random.default_rng(s) reproduces RohcEnv.reset(s)
     and the steps after it exactly.
 
-    The slot model lives in public tables, which baselines.exact_oracle
-    reads as well: p_bad (stationary bad-state probability at reset),
-    p_tx[channel, header], share[header] (the reward of a decode),
-    next_level[level, header, tx_ok, compressible] and p_one[history].
+    The slot model lives in public tables, built by the same _slot_tables
+    call as RohcEnv's, which baselines.exact_oracle reads as well: p_bad
+    (stationary bad-state probability at reset), p_tx[channel, header],
+    share[header] (the reward of a decode), next_level[level, header,
+    tx_ok, compressible] and p_one[history].
     """
 
     RESET_DRAWS = 3
@@ -260,21 +310,8 @@ class BatchGeEnv:
                 "lockstep rollouts require the Gilbert-Elliot channel "
                 "(env.channel = ge), not the hmm fading channel"
             )
-        ge = cfg.channel
-        lengths = cfg.lengths
         self.cfg = cfg
-        self.p_bad = ge_stationary(ge)
-        # success probability by [channel state (0 bad, 1 good), header]
-        base = np.array([[ge.bad_success], [ge.good_success]])
-        self.p_tx = np.clip(base * np.array(ge.header_scale), 0.0, 1.0)
-        self.share = np.array(
-            [
-                lengths.payload_bits / (lengths.payload_bits + lengths.header_bits(h))
-                for h in HeaderType
-            ]
-        )
-        self.next_level = _decompressor_table(cfg.w)
-        self.p_one = np.array(cfg.source.p_one)
+        self.share, self.next_level, self.p_one, self.p_bad, self.p_tx = _slot_tables(cfg)
         self._src_mask = 2**cfg.source.order - 1
         self._clock = 0
 

@@ -183,6 +183,14 @@ def make_agent_config(cfg: dict) -> AgentConfig:
     return AgentConfig(**_table_fields(AgentConfig, cfg))
 
 
+def training_episodes(cfg: dict) -> int:
+    """run.m, the number of training episodes; refused when negative."""
+    episodes = int(cfg["run.m"])
+    if episodes < 0:
+        raise ValueError(f"run.m must be >= 0, got {episodes}")
+    return episodes
+
+
 def make_kt_config(cfg: dict, feedback_prob: float | None = None) -> KtConfig:
     p = float(cfg["kt.p_f"]) if feedback_prob is None else float(feedback_prob)
     return KtConfig(w=int(cfg["env.w"]), feedback_prob=p)
@@ -350,7 +358,7 @@ def train_point(cfg: dict, point_seed: int):
     """Train on one config point; returns (params, spec, training result)."""
     env_cfg = make_env_config(cfg)
     agent_cfg = make_agent_config(cfg)
-    result = run_training(env_cfg, agent_cfg, int(cfg["run.m"]), point_seed)
+    result = run_training(env_cfg, agent_cfg, training_episodes(cfg), point_seed)
     spec = EncoderSpec.for_env(env_cfg, agent_cfg)
     return result.params, spec, result
 
@@ -385,7 +393,7 @@ def adapt_experiment(cfg: dict, seed: int, out_path=None):
     """Train once while the channel parameter switches mid-run, without
     resetting the network; returns the per-episode training result."""
     schedule = parse_adapt_schedule(cfg)
-    episodes = int(cfg["run.m"])
+    episodes = training_episodes(cfg)
     if schedule and cfg["env.channel"] == "hmm":
         raise ValueError(
             "adapt.schedule switches ge.eps_b, which the hmm channel does not "

@@ -691,6 +691,10 @@ class TestTraining:
         result = run_training(cfg, agent, 4, seed=0)
         assert result.episode_epsilon == [1.0, 0.5, 0.3, 0.3]
 
+    def test_negative_episode_count_is_named(self):
+        with pytest.raises(ValueError, match="episodes must be >= 0, got -1"):
+            run_training(ge_env(horizon=3), small_agent(), -1, seed=9)
+
     def test_zero_episodes_returns_init(self):
         cfg = ge_env(horizon=3)
         agent = small_agent()

@@ -59,6 +59,17 @@ class TestGilbertElliot:
         with pytest.raises(ValueError):
             GilbertElliotConfig(5.0, 0.2, 0.9, 0.1, (1.0, -1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "l_b, eps_b, field",
+        [(0.0, 0.2, "mean_bad_duration"), (0.0, 0.0, "mean_bad_duration"),
+         (5.0, 0.0, "eps_b"), (5.0, 1.0, "eps_b")],
+    )
+    def test_degenerate_settings_name_the_field(self, l_b, eps_b, field):
+        # each would divide by zero in the transition laws
+        bad = l_b if field == "mean_bad_duration" else eps_b
+        with pytest.raises(ValueError, match=rf"{field} must .*, got {bad}$"):
+            ge(l_b, eps_b)
+
     def test_stationary_closed_form(self):
         assert ge_stationary(ge(5.0, 0.2)) == pytest.approx(0.8, abs=1e-12)
         # symmetric chain

@@ -2,19 +2,46 @@
 reward bookkeeping, trace export."""
 
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bdrohc.channels import GilbertElliotConfig, HmmChannelConfig, ObsNoiseConfig
-from bdrohc.core import CompressorAction, HeaderLengths, HeaderType, SourceDynamics
+from bdrohc.channels import (
+    GilbertElliotConfig,
+    HmmChannelConfig,
+    ObsNoiseConfig,
+    ge_init,
+    ge_step,
+    ge_transmission,
+    hmm_init,
+    hmm_step,
+    hmm_transmission,
+    observe_channel_ge,
+    observe_channel_hmm,
+    observe_transmission,
+)
+from bdrohc.core import (
+    ACTIONS,
+    CompressorAction,
+    HeaderLengths,
+    HeaderType,
+    SourceDynamics,
+    decompressor_step,
+    source_step,
+)
 from bdrohc.env import (
     NO_FEEDBACK,
     PAD_ACTION,
     BatchGeEnv,
     EnvConfig,
+    Observation,
     Policy,
     RohcEnv,
+    StepDiagnostics,
+    StepOutcome,
     Trace,
     run_episode,
 )
@@ -381,3 +408,117 @@ class TestBatchEnv:
         obs = env.reset(np.zeros((2, 3)))
         with pytest.raises(NotImplementedError, match="ScriptPolicy"):
             policy.act_batch(obs, np.zeros(2))
+
+
+class ReferenceEnv:
+    """The slot of RohcEnv written out on the scalar channels and core
+    functions, one draw per use: the reference RohcEnv's tables and block
+    draws must reproduce exactly."""
+
+    def __init__(self, cfg: EnvConfig):
+        self.cfg = cfg
+
+    def reset(self, seed) -> Observation:
+        cfg = self.cfg
+        self._rng = np.random.default_rng(seed)
+        self._level = cfg.w + 1
+        self._src_history = 2**cfg.source.order - 1
+        self._src_window = deque([1] * (cfg.delay + 1), maxlen=cfg.delay + 1)
+        self._actions = deque([PAD_ACTION] * (cfg.delay + 1), maxlen=cfg.delay + 2)
+        if cfg.is_hmm:
+            self._channel = hmm_init(cfg.channel, self._rng)
+            z_h = observe_channel_hmm(self._channel.envelope, cfg.channel.obs_noise_var, self._rng)
+        else:
+            self._channel = ge_init(cfg.channel, self._rng)
+            z_h = observe_channel_ge(self._channel, cfg.noise.eps_h, self._rng)
+        z_t = observe_transmission(0, cfg.noise.eps_t, self._rng)
+        return Observation(z_t, z_h, NO_FEEDBACK, tuple(self._src_window))
+
+    def step(self, action: CompressorAction) -> StepOutcome:
+        cfg = self.cfg
+        rng = self._rng
+        self._actions.appendleft(action)
+        evicted = self._actions.pop()
+        applied = self._actions[-1]
+        if cfg.is_hmm:
+            self._channel, envelope = hmm_step(self._channel, cfg.channel, rng)
+            tx_ok = hmm_transmission(envelope, cfg.channel, rng)
+            z_h = observe_channel_hmm(envelope, cfg.channel.obs_noise_var, rng)
+        else:
+            self._channel = ge_step(self._channel, cfg.channel, rng)
+            tx_ok = ge_transmission(self._channel, applied.header, cfg.channel, rng)
+            z_h = observe_channel_ge(self._channel, cfg.noise.eps_h, rng)
+        src_bit = self._src_window[cfg.delay]
+        self._level = decompressor_step(self._level, applied.header, tx_ok, src_bit, cfg.w)
+        success = self._level == 0
+        length = cfg.lengths
+        reward = 0.0
+        if success:
+            reward = length.payload_bits / (
+                length.payload_bits + length.header_bits(applied.header)
+            )
+        reward -= cfg.feedback_penalty * int(evicted.request_feedback)
+        self._src_history, new_bit = source_step(self._src_history, cfg.source, rng)
+        self._src_window.appendleft(new_bit)
+        fb_request = self._actions[cfg.delay - 1 if cfg.delay >= 1 else 0]
+        z_d = self._level if fb_request.request_feedback else NO_FEEDBACK
+        z_t = observe_transmission(tx_ok, cfg.noise.eps_t, rng)
+        obs = Observation(z_t, z_h, z_d, tuple(self._src_window))
+        diagnostics = StepDiagnostics(
+            success, applied.header, self._level, tx_ok, src_bit, int(evicted.request_feedback)
+        )
+        return StepOutcome(obs, reward, diagnostics)
+
+
+def assert_same_fields(got, want, where):
+    """Equal field by field, each of the same type: an int 1 and a float
+    1.0 would write different CSV cells."""
+    for name in ("z_t", "z_h", "z_d", "source_window"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (type(g), g) == (type(w), w), f"{where}: {name}"
+
+
+@st.composite
+def env_configs(draw):
+    probability = st.floats(0.0, 1.0)
+    if draw(st.booleans()):
+        channel = HmmChannelConfig(
+            draw(st.floats(0.0, 0.95)), draw(st.integers(1, 3)),
+            draw(st.floats(0.1, 4.0)), draw(st.floats(0.0, 2.0)),
+        )
+    else:
+        good = draw(probability)
+        channel = GilbertElliotConfig(
+            draw(st.floats(1.0, 20.0)), draw(st.floats(0.01, 0.5)),
+            good, draw(st.floats(0.0, good)),
+            draw(st.sampled_from([(1.0, 1.0, 1.0), (1.0, 0.9, 0.5), (1.0, 1.3, 2.0)])),
+        )
+    order = draw(st.integers(1, 2))
+    return EnvConfig(
+        lengths=LENGTHS,
+        channel=channel,
+        noise=ObsNoiseConfig(draw(st.floats(0.0, 0.4)), draw(st.floats(0.0, 0.4))),
+        source=SourceDynamics(order, tuple(draw(probability) for _ in range(2**order))),
+        w=draw(st.integers(1, 6)),
+        delay=draw(st.integers(0, 4)),
+        feedback_penalty=draw(st.sampled_from([0.0, 0.01, 0.3])),
+        horizon=draw(st.sampled_from([1, 255, 256, 257, 600])),
+    )
+
+
+class TestScalarEnvMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=env_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_outcomes_and_stream_equal_reference(self, cfg, seed):
+        env, ref = RohcEnv(cfg), ReferenceEnv(cfg)
+        assert_same_fields(env.reset(seed), ref.reset(seed), "reset")
+        actions = np.random.default_rng(seed + 1).integers(len(ACTIONS), size=cfg.horizon)
+        for t, index in enumerate(actions):
+            got, want = env.step(ACTIONS[index]), ref.step(ACTIONS[index])
+            assert_same_fields(got.observation, want.observation, f"slot {t}")
+            assert (type(got.reward), got.reward) == (type(want.reward), want.reward), f"slot {t}"
+            for name in StepDiagnostics._fields:
+                g, w = getattr(got.diagnostics, name), getattr(want.diagnostics, name)
+                assert (type(g), g) == (type(w), w), f"slot {t}: {name}"
+        # the generator ends the episode where one draw per use leaves it
+        assert env._rng.random() == ref._rng.random()

@@ -651,6 +651,28 @@ class TestCli:
         assert f"{key} is set, but {command} ignores it" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval", "adapt"])
+    def test_negative_episode_count_exits_two(self, tmp_path, capsys, command):
+        # eval trains here: run.policy = rl without a checkpoint
+        cfg = self.write_fast(tmp_path, "run.m = -1\nrun.policy = rl\n")
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: run.m must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("ge.l_b", "0", "mean_bad_duration must be > 0, got 0.0"),
+         ("ge.eps_b", "0", "eps_b must lie in (0, 1), got 0.0"),
+         ("ge.eps_b", "1", "eps_b must lie in (0, 1), got 1.0")],
+    )
+    def test_degenerate_channel_exits_two(self, tmp_path, capsys, key, value, message):
+        cfg = self.write_fast(tmp_path, f"{key} = {value}\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_sweep_refuses_kt_feedback_axis(self, tmp_path, capsys):
         cfg = self.write_fast(tmp_path, "sweep.param = kt.p_f\nsweep.values = 0.1,0.9\n")
         out = tmp_path / "sweep.csv"
