@@ -412,8 +412,8 @@ class TestBatchEnv:
 
 class ReferenceEnv:
     """The slot of RohcEnv written out on the scalar channels and core
-    functions, one draw per use: the reference RohcEnv's tables and block
-    draws must reproduce exactly."""
+    functions, one draw per use: the reference that RohcEnv's tables and
+    block draws must reproduce exactly."""
 
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
@@ -470,10 +470,13 @@ class ReferenceEnv:
         return StepOutcome(obs, reward, diagnostics)
 
 
-def assert_same_fields(got, want, where):
+OBSERVATION_FIELDS = ("z_t", "z_h", "z_d", "source_window")
+
+
+def assert_same_fields(got, want, names, where):
     """Equal field by field, each of the same type: an int 1 and a float
     1.0 would write different CSV cells."""
-    for name in ("z_t", "z_h", "z_d", "source_window"):
+    for name in names:
         g, w = getattr(got, name), getattr(want, name)
         assert (type(g), g) == (type(w), w), f"{where}: {name}"
 
@@ -511,14 +514,13 @@ class TestScalarEnvMatchesReference:
     @given(cfg=env_configs(), seed=st.integers(0, 2**32 - 1))
     def test_outcomes_and_stream_equal_reference(self, cfg, seed):
         env, ref = RohcEnv(cfg), ReferenceEnv(cfg)
-        assert_same_fields(env.reset(seed), ref.reset(seed), "reset")
+        assert_same_fields(env.reset(seed), ref.reset(seed), OBSERVATION_FIELDS, "reset")
         actions = np.random.default_rng(seed + 1).integers(len(ACTIONS), size=cfg.horizon)
         for t, index in enumerate(actions):
             got, want = env.step(ACTIONS[index]), ref.step(ACTIONS[index])
-            assert_same_fields(got.observation, want.observation, f"slot {t}")
-            assert (type(got.reward), got.reward) == (type(want.reward), want.reward), f"slot {t}"
-            for name in StepDiagnostics._fields:
-                g, w = getattr(got.diagnostics, name), getattr(want.diagnostics, name)
-                assert (type(g), g) == (type(w), w), f"slot {t}: {name}"
+            where = f"slot {t}"
+            assert_same_fields(got.observation, want.observation, OBSERVATION_FIELDS, where)
+            assert_same_fields(got, want, ("reward",), where)
+            assert_same_fields(got.diagnostics, want.diagnostics, StepDiagnostics._fields, where)
         # the generator ends the episode where one draw per use leaves it
         assert env._rng.random() == ref._rng.random()
