@@ -30,7 +30,6 @@ from .channels import (
 )
 from .env import (
     BatchGeEnv,
-    BatchObservation,
     EnvConfig,
     MetricsReport,
     Observation,

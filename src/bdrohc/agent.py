@@ -32,7 +32,6 @@ import numpy as np
 from .core import ACTION_COUNT, ACTIONS, CompressorAction, HeaderType
 from .env import (
     PAD_ACTION,
-    BatchObservation,
     EnvConfig,
     Observation,
     Policy,
@@ -169,9 +168,9 @@ class HistoryWindow:
 
     The rows hold the unmarked encoding and x applies the mark, so clearing
     it is a flag flip.  push moves every row one slot older and writes only
-    the newest observation and action.  One Observation gives one row,
-    indexed by 0 with scalar fields; a BatchObservation gives N rows,
-    indexed by arange(N) with array fields; the same statements serve both.
+    the newest observation and action.  An Observation of scalars gives one
+    row, indexed by 0; an Observation of arrays, one row per rollout, gives
+    N rows, indexed by arange(N); the same statements serve both.
     """
 
     def __init__(self, spec: EncoderSpec, first):
@@ -483,6 +482,8 @@ def run_training(
         for ep, cfg in env_schedule:
             if not 0 <= int(ep) < episodes:
                 raise ValueError(f"env_schedule episode {ep} lies outside 0..{episodes - 1}")
+            if int(ep) in switches:
+                raise ValueError(f"env_schedule lists episode {ep} more than once")
             switches[int(ep)] = cfg
     spec = EncoderSpec.for_env(env_cfg, agent_cfg)
     for where, cfg in [("env_cfg", env_cfg)] + [
@@ -593,10 +594,9 @@ class AgentPolicy(Policy):
         self.window = None
 
     def observe(self, obs) -> None:
-        """Move the window on to obs, one Observation or the
-        BatchObservation of N rollouts, which follows the actions last
-        taken, and read its inputs x; the first observation after a reset
-        starts a fresh window."""
+        """Move the window on to obs, the Observation of one rollout or of
+        N, which follows the actions last taken, and read its inputs x; the
+        first observation after a reset starts a fresh window."""
         if self.window is None:
             self.window = HistoryWindow(self.spec, obs)
         else:
@@ -619,7 +619,7 @@ class AgentPolicy(Policy):
         self.taken = idx
         return ACTIONS[idx]
 
-    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+    def act_batch(self, obs: Observation, u: np.ndarray) -> np.ndarray:
         """All rollouts are scored by one forward_batch; a rollout explores
         when u < epsilon, and then u / epsilon picks its action uniformly."""
         self.observe(obs)

@@ -24,7 +24,6 @@ from .core import ACTIONS, ACTION_COUNT, CompressorAction, HeaderType
 from .env import (
     NO_FEEDBACK,
     BatchGeEnv,
-    BatchObservation,
     EnvConfig,
     Observation,
     Policy,
@@ -79,7 +78,7 @@ class KtPolicy(Policy):
     def reset_batch(self, rollouts: int) -> None:
         self._latest_batch = np.full(rollouts, NO_FEEDBACK)
 
-    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+    def act_batch(self, obs: Observation, u: np.ndarray) -> np.ndarray:
         """act over every rollout; NO_FEEDBACK marks none seen yet."""
         cfg = self.cfg
         latest = np.where(obs.z_d != NO_FEEDBACK, obs.z_d, self._latest_batch)
@@ -101,7 +100,7 @@ class FixedPolicy(Policy):
     def act(self, obs: Observation) -> CompressorAction:
         return self.action
 
-    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+    def act_batch(self, obs: Observation, u: np.ndarray) -> np.ndarray:
         return np.full(len(u), self.action.index)
 
 
@@ -112,7 +111,7 @@ class RandomPolicy(Policy):
     def act(self, obs: Observation) -> CompressorAction:
         return ACTIONS[int(self._rng.integers(ACTION_COUNT))]
 
-    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+    def act_batch(self, obs: Observation, u: np.ndarray) -> np.ndarray:
         return (u * ACTION_COUNT).astype(np.int64)
 
 
@@ -214,8 +213,9 @@ def lockstep_returns(policy: Policy, cfg: EnvConfig, env_noise, policy_noise) ->
     for t in range(steps):
         start = BatchGeEnv.RESET_DRAWS + BatchGeEnv.STEP_DRAWS * t
         actions = policy.act_batch(obs, policy_noise[:, t])
-        obs, reward = env.step(actions, env_noise[:, start : start + BatchGeEnv.STEP_DRAWS])
-        total += weight * reward
+        outcome = env.step(actions, env_noise[:, start : start + BatchGeEnv.STEP_DRAWS])
+        obs = outcome.observation
+        total += weight * outcome.reward
         weight *= cfg.discount
     return total
 

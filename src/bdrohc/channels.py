@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +131,7 @@ class HmmChannelConfig:
             )
 
 
-@dataclass(frozen=True)
-class HmmState:
+class HmmState(NamedTuple):
     """Current in-phase and quadrature gains."""
 
     inphase: float

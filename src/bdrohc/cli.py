@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from . import harness
-from .agent import AgentPolicy, EncoderSpec, run_training, save_checkpoint, load_checkpoint
+from .agent import AgentPolicy, EncoderSpec, save_checkpoint, load_checkpoint
 from .baselines import FixedPolicy, KtPolicy, RandomPolicy
 from .core import HeaderType
 
@@ -58,28 +58,28 @@ _WHY_REFUSED = {
     "adapt.schedule": "only adapt runs a schedule",
     "run.trace": "only eval writes a trace",
     "run.checkpoint": "only eval with run.policy = rl loads a checkpoint",
+    "run.policy": "only eval runs the chosen policy; this command trains the agent",
 }
 
 
 def _refuse_ignored(cfg, command: str, keys) -> None:
-    """Refuse a set key that command would silently ignore."""
+    """Refuse a key set away from its default that command would silently
+    ignore."""
+    defaults = harness.default_config()
     for key in keys:
-        if cfg[key]:
+        if cfg[key] != defaults[key]:
             raise ValueError(f"{key} is set, but {command} ignores it; {_WHY_REFUSED[key]}")
 
 
 def _cmd_train(args, cfg) -> int:
-    _refuse_ignored(cfg, "train", ("adapt.schedule", "run.trace", "run.checkpoint"))
+    _refuse_ignored(cfg, "train", ("adapt.schedule", "run.trace", "run.checkpoint", "run.policy"))
     out = args.out or "train_curve.csv"
-    env_cfg = harness.make_env_config(cfg)
-    agent_cfg = harness.make_agent_config(cfg)
-    episodes = harness.training_episodes(cfg)
-    result = run_training(env_cfg, agent_cfg, episodes, args.seed)
+    params, spec, result = harness.train_point(cfg, args.seed)
     harness.write_curve_csv(out, result)
     ckpt = out + ".params"
+    agent_cfg = harness.make_agent_config(cfg)
     epsilon = result.episode_epsilon[-1] if result.episode_epsilon else agent_cfg.epsilon_init
-    spec = EncoderSpec.for_env(env_cfg, agent_cfg)
-    save_checkpoint(ckpt, result.params, agent_cfg, episodes, epsilon, spec)
+    save_checkpoint(ckpt, params, agent_cfg, len(result.episode_epsilon), epsilon, spec)
     print(f"wrote {out} and checkpoint {ckpt}")
     return 0
 
@@ -156,7 +156,7 @@ def _cmd_eval(args, cfg) -> int:
 
 
 def _cmd_sweep(args, cfg) -> int:
-    _refuse_ignored(cfg, "sweep", ("adapt.schedule", "run.trace", "run.checkpoint"))
+    _refuse_ignored(cfg, "sweep", ("adapt.schedule", "run.trace", "run.checkpoint", "run.policy"))
     out = args.out or "sweep_results.csv"
     rows = harness.run_experiment(cfg, args.seed, out_path=out)
     print(f"wrote {len(rows)} rows to {out}")
@@ -164,7 +164,7 @@ def _cmd_sweep(args, cfg) -> int:
 
 
 def _cmd_adapt(args, cfg) -> int:
-    _refuse_ignored(cfg, "adapt", ("run.trace", "run.checkpoint"))
+    _refuse_ignored(cfg, "adapt", ("run.trace", "run.checkpoint", "run.policy"))
     out = args.out or "adapt_curve.csv"
     harness.adapt_experiment(cfg, args.seed, out_path=out)
     print(f"wrote {out}")

@@ -20,7 +20,8 @@ Gilbert-Elliot laws): RohcEnv, one rollout with one step body for both
 channels, whose Gilbert-Elliot uniforms it draws in blocks, and
 BatchGeEnv, N Gilbert-Elliot rollouts in lockstep on pre-drawn uniforms.
 A row of BatchGeEnv fed the stream of np.random.default_rng(s) follows
-RohcEnv.reset(s) and its steps exactly.
+RohcEnv.reset(s) and its steps exactly.  Both return one Observation and
+StepOutcome type: scalars for one rollout, arrays (one row each) for N.
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ class EnvConfig:
         return isinstance(self.channel, HmmChannelConfig)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """What the compressor sees at the top of a slot.
+class Observation(NamedTuple):
+    """What the compressor sees at the top of a slot.  One rollout holds
+    scalars in it; N lockstep rollouts hold one array per field, one row
+    per rollout.
 
     z_t: noisy arrival flag of the packet decoded d slots back.
     z_h: noisy channel state (0/1 flip for Gilbert-Elliot, real-valued
@@ -89,7 +91,8 @@ class Observation:
     z_d: decompressor level delivered by the feedback path, or -1 when no
          feedback is due this slot.
     source_window: the last delay+1 compressibility bits, most recent first
-         (these are compressor-side and arrive undelayed).
+         (these are compressor-side and arrive undelayed); an (N, delay+1)
+         array for N rollouts.
     """
 
     z_t: int
@@ -98,19 +101,20 @@ class Observation:
     source_window: tuple[int, ...]
 
 
-class StepDiagnostics(NamedTuple):
+class StepOutcome(NamedTuple):
+    """One slot, scalars for one rollout or arrays for N: the next slot's
+    observation, the reward, the packet that landed this slot (decoded or
+    not, its header, the decompressor level after it, its arrival, its
+    source bit) and whether the request made d+1 slots back was charged."""
+
+    observation: Observation
+    reward: float
     decode_success: bool
     applied_header: HeaderType
     decomp_state: int
     tx_ok: int
     source_bit: int
     penalized_feedback: int
-
-
-class StepOutcome(NamedTuple):
-    observation: Observation
-    reward: float
-    diagnostics: StepDiagnostics
 
 
 def _decompressor_table(w: int) -> np.ndarray:
@@ -265,20 +269,7 @@ class RohcEnv:
 
         obs = Observation(z_t, z_h, z_d, tuple(self._src_window))
         self._clock += 1
-        return StepOutcome(
-            obs, reward, StepDiagnostics(level == 0, header, level, tx_ok, src_bit, charged)
-        )
-
-
-@dataclass(frozen=True)
-class BatchObservation:
-    """Observations of N lockstep rollouts, one row per rollout; the fields
-    are those of Observation, source_window an (N, delay+1) array."""
-
-    z_t: np.ndarray
-    z_h: np.ndarray
-    z_d: np.ndarray
-    source_window: np.ndarray
+        return StepOutcome(obs, reward, level == 0, header, level, tx_ok, src_bit, charged)
 
 
 class BatchGeEnv:
@@ -292,7 +283,8 @@ class BatchGeEnv:
     transmission, channel observation flip, source bit, arrival observation
     flip.  That is the order in which RohcEnv draws them, so a row holding
     the stream of np.random.default_rng(s) reproduces RohcEnv.reset(s)
-    and the steps after it exactly.
+    and the steps after it exactly.  reset returns an Observation and step
+    a StepOutcome, each with one array per field, one row per rollout.
 
     The slot model lives in public tables, built by the same _slot_tables
     call as RohcEnv's, which baselines.exact_oracle reads as well: p_bad
@@ -315,7 +307,7 @@ class BatchGeEnv:
         self._src_mask = 2**cfg.source.order - 1
         self._clock = 0
 
-    def reset(self, u: np.ndarray) -> BatchObservation:
+    def reset(self, u: np.ndarray) -> Observation:
         cfg = self.cfg
         n = u.shape[0]
         self._clock = 0
@@ -327,11 +319,11 @@ class BatchGeEnv:
         self._channel = (u[:, 0] >= self.p_bad).astype(np.int64)
         z_h = self._channel ^ (u[:, 1] < cfg.noise.eps_h)
         z_t = (u[:, 2] < cfg.noise.eps_t).astype(np.int64)
-        return BatchObservation(z_t, z_h, np.full(n, NO_FEEDBACK), self._src_window)
+        return Observation(z_t, z_h, np.full(n, NO_FEEDBACK), self._src_window)
 
-    def step(self, actions: np.ndarray, u: np.ndarray) -> tuple[BatchObservation, np.ndarray]:
-        """Advance every rollout one slot; returns the observations and the
-        rewards."""
+    def step(self, actions: np.ndarray, u: np.ndarray) -> StepOutcome:
+        """Advance every rollout one slot; the outcome holds one array per
+        field, one row per rollout."""
         cfg = self.cfg
         d = cfg.delay
         if self._clock >= cfg.horizon:
@@ -352,8 +344,9 @@ class BatchGeEnv:
         z_h = self._channel ^ (u[:, 2] < cfg.noise.eps_h)
 
         src_bit = self._src_window[:, d]
-        self._level = self.next_level[self._level, header, tx_ok, src_bit]
-        reward = np.where(self._level == 0, self.share[header], 0.0)
+        level = self._level = self.next_level[self._level, header, tx_ok, src_bit]
+        success = level == 0
+        reward = np.where(success, self.share[header], 0.0)
         reward -= cfg.feedback_penalty * charged
 
         new_bit = (u[:, 3] < self.p_one[self._src_history]).astype(np.int64)
@@ -362,10 +355,11 @@ class BatchGeEnv:
             (new_bit[:, None], self._src_window[:, :-1]), axis=1
         )
 
-        z_d = np.where(asked == 1, self._level, NO_FEEDBACK)
+        z_d = np.where(asked == 1, level, NO_FEEDBACK)
         z_t = tx_ok ^ (u[:, 4] < cfg.noise.eps_t)
         self._clock += 1
-        return BatchObservation(z_t, z_h, z_d, self._src_window), reward
+        obs = Observation(z_t, z_h, z_d, self._src_window)
+        return StepOutcome(obs, reward, success, header, level, tx_ok, src_bit, charged)
 
 
 class Policy:
@@ -386,7 +380,7 @@ class Policy:
     def reset_batch(self, rollouts: int) -> None:
         pass
 
-    def act_batch(self, obs: BatchObservation, u: np.ndarray) -> np.ndarray:
+    def act_batch(self, obs: Observation, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{type(self).__name__} has no batched act")
 
 
@@ -432,18 +426,18 @@ class Trace:
         return len(self.t)
 
     def append(self, t: int, obs: Observation, outcome: StepOutcome) -> None:
-        d = outcome.diagnostics
+        _, reward, success, header, level, tx_ok, source_bit, charged = outcome
         self.t.append(t)
-        self.alpha_c.append(int(d.applied_header))
-        self.alpha_f.append(d.penalized_feedback)
+        self.alpha_c.append(int(header))
+        self.alpha_f.append(charged)
         self.z_t.append(obs.z_t)
         self.z_h.append(obs.z_h)
         self.z_d.append(obs.z_d)
-        self.sigma_s.append(d.source_bit)
-        self.sigma_d.append(d.decomp_state)
-        self.sigma_t.append(d.tx_ok)
-        self.reward.append(outcome.reward)
-        self.decode_success.append(int(d.decode_success))
+        self.sigma_s.append(source_bit)
+        self.sigma_d.append(level)
+        self.sigma_t.append(tx_ok)
+        self.reward.append(reward)
+        self.decode_success.append(int(success))
 
     def to_csv(self, path) -> None:
         columns = [getattr(self, name.lower()) for name in _TRACE_COLUMNS]

@@ -243,7 +243,11 @@ def parse_adapt_schedule(cfg: dict) -> list[tuple[int, float]]:
             raise ValueError(
                 f"adapt.schedule entries are 'episode:eps_b', got {piece!r}"
             ) from None
-    return sorted(out)
+    out.sort()
+    for (episode, _), (following, _) in zip(out, out[1:]):
+        if episode == following:
+            raise ValueError(f"adapt.schedule lists episode {episode} more than once")
+    return out
 
 
 # --------------------------------------------------------------------------

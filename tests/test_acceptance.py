@@ -366,7 +366,7 @@ class TestExhaustiveOptimum:
         reset_obs = RohcEnv(cfg).reset(0)
         at_reset = []
         for z_h in (0, 1):
-            obs = dataclasses.replace(reset_obs, z_h=z_h)
+            obs = reset_obs._replace(z_h=z_h)
             q = forward(result.params, HistoryWindow(spec, obs).x[0])
             at_reset.append(
                 f"z_h={z_h}: {action_name(int(np.argmax(q)))} "

@@ -28,7 +28,6 @@ from bdrohc.core import ACTION_COUNT, ACTIONS, CompressorAction, HeaderLengths, 
 from bdrohc.env import (
     NO_FEEDBACK,
     PAD_ACTION,
-    BatchObservation,
     EnvConfig,
     Observation,
     Trace,
@@ -308,13 +307,9 @@ def observations(spec: EncoderSpec):
     )
 
 
-def batch_of(rows) -> BatchObservation:
-    return BatchObservation(
-        np.array([o.z_t for o in rows]),
-        np.array([o.z_h for o in rows]),
-        np.array([o.z_d for o in rows]),
-        np.array([o.source_window for o in rows]),
-    )
+def batch_of(rows) -> Observation:
+    """One Observation of N rollouts from N of one rollout each."""
+    return Observation(*map(np.array, zip(*rows)))
 
 
 def check_windows(spec: EncoderSpec, firsts, steps) -> list[list[bool]]:
@@ -476,7 +471,7 @@ class TestSelection:
 
     def test_exploring_starts_apply_to_batches(self):
         policy = linear_policy([0.0, 0.0, 5.0, 0.0, 0.0, 0.0], None, explore_slots=1)
-        obs = BatchObservation(
+        obs = Observation(
             np.ones(3, dtype=int),
             np.zeros(3, dtype=int),
             np.full(3, -1),
@@ -756,6 +751,12 @@ class TestTraining:
         cfg = ge_env(horizon=6)
         with pytest.raises(ValueError, match=r"outside 0\.\.2"):
             run_training(cfg, small_agent(), 3, seed=0, env_schedule=[(episode, cfg)])
+
+    def test_schedule_rejects_a_repeated_episode(self):
+        cfg = ge_env(horizon=6)
+        schedule = [(1, cfg), (1, dataclasses.replace(cfg, horizon=7))]
+        with pytest.raises(ValueError, match="env_schedule lists episode 1 more than once"):
+            run_training(cfg, small_agent(), 3, seed=0, env_schedule=schedule)
 
     def test_schedule_rejects_layout_change(self):
         cfg = ge_env(delay=4, horizon=6)

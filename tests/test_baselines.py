@@ -28,7 +28,7 @@ from bdrohc.core import (
     HeaderType,
     SourceDynamics,
 )
-from bdrohc.env import BatchGeEnv, BatchObservation, EnvConfig, Observation, RohcEnv, run_episode
+from bdrohc.env import BatchGeEnv, EnvConfig, Observation, RohcEnv, run_episode
 from bdrohc.mlp import init_params
 
 LENGTHS = HeaderLengths(20, 60, 15, 1)
@@ -424,12 +424,7 @@ class TestLockstepReturns:
         batched.reset_batch(len(seeds))
         for t in range(steps):
             rows = [seen[t] for seen in observations]
-            obs = BatchObservation(
-                np.array([o.z_t for o in rows]),
-                np.array([o.z_h for o in rows]),
-                np.array([o.z_d for o in rows]),
-                np.array([o.source_window for o in rows]),
-            )
+            obs = Observation(*map(np.array, zip(*rows)))
             got = batched.act_batch(obs, np.ones(len(seeds)))
             assert got.tolist() == [taken[t] for taken in actions]
         assert len({a for taken in actions for a in taken}) > 1
@@ -480,7 +475,7 @@ class TestLockstepReturns:
 
     def test_batched_random_and_kt_action_laws(self):
         u = np.random.default_rng(2).random(60_000)
-        obs = BatchObservation(
+        obs = Observation(
             np.zeros(u.size, dtype=int),
             np.zeros(u.size, dtype=int),
             np.full(u.size, 0),

@@ -110,10 +110,9 @@ class TestDecompressorStep:
         levels = set()
         for _ in range(cfg.horizon):
             out = env.step(ACTIONS[int(rng.integers(ACTION_COUNT))])
-            diag = out.diagnostics
-            assert diag.decode_success == (diag.decomp_state == 0)
-            assert (out.reward > 0) == diag.decode_success
-            levels.add(diag.decomp_state)
+            assert out.decode_success == (out.decomp_state == 0)
+            assert (out.reward > 0) == out.decode_success
+            levels.add(out.decomp_state)
         assert levels == set(range(cfg.w + 2))
 
     def test_zero_reachable_from_every_state(self):

@@ -40,7 +40,6 @@ from bdrohc.env import (
     Observation,
     Policy,
     RohcEnv,
-    StepDiagnostics,
     StepOutcome,
     Trace,
     run_episode,
@@ -197,7 +196,7 @@ class TestTiming:
         for _ in range(100):
             a = ACTIONS[int(rng.integers(6))]
             out = env.step(a)
-            assert out.observation.z_t == out.diagnostics.tx_ok
+            assert out.observation.z_t == out.tx_ok
 
     def test_feedback_delivery_slot_and_value(self):
         d = 4
@@ -211,7 +210,7 @@ class TestTiming:
         for t in range(horizon):
             out = env.step(prefix[t])
             obs_seq.append(out.observation)
-            decomp_after.append(out.diagnostics.decomp_state)
+            decomp_after.append(out.decomp_state)
         for i, obs in enumerate(obs_seq):
             if i == q + d:
                 assert obs.z_d == decomp_after[i - 1]
@@ -229,7 +228,7 @@ class TestTiming:
         for t in range(horizon):
             out = env.step(prefix[t])
             obs_seq.append(out.observation)
-            decomp_after.append(out.diagnostics.decomp_state)
+            decomp_after.append(out.decomp_state)
         for i, obs in enumerate(obs_seq):
             if i == q + 1:
                 assert obs.z_d == decomp_after[i - 1]
@@ -354,6 +353,14 @@ class TestDeterminism:
         assert a.alpha_c != b.alpha_c or a.sigma_t != b.sigma_t
 
 
+def assert_rows_equal(got, want, names, where):
+    """Row i of each of got's array fields equals that field of want[i],
+    by value."""
+    for name in names:
+        rows = [np.asarray(getattr(w, name)).tolist() for w in want]
+        assert getattr(got, name).tolist() == rows, f"{where}: {name}"
+
+
 class TestBatchEnv:
     def test_scalar_env_draws_three_uniforms_at_reset_then_five_per_step(self):
         # the contract BatchGeEnv's noise layout rests on
@@ -366,24 +373,26 @@ class TestBatchEnv:
         assert env._rng.random() == stream[-1]
 
     def test_rows_follow_scalar_env_observations(self):
-        cfg = lossy_cfg(delay=2, horizon=20)
+        # every field of each row's outcome, under random per-row actions
+        steps = 20
         seeds = [3, 4, 5]
-        noise = np.stack([np.random.default_rng(s).random(3 + 5 * 20) for s in seeds])
-        batch = BatchGeEnv(cfg)
-        obs = batch.reset(noise[:, :3])
-        envs = [RohcEnv(cfg) for _ in seeds]
-        expected = [env.reset(s) for env, s in zip(envs, seeds)]
-        action = act(HeaderType.IR, fb=True)
-        for t in range(20):
-            assert obs.z_t.tolist() == [o.z_t for o in expected]
-            assert obs.z_h.tolist() == [o.z_h for o in expected]
-            assert obs.z_d.tolist() == [o.z_d for o in expected]
-            assert obs.source_window.tolist() == [list(o.source_window) for o in expected]
-            u = noise[:, 3 + 5 * t : 8 + 5 * t]
-            obs, reward = batch.step(np.full(len(seeds), action.index), u)
-            outcomes = [env.step(action) for env in envs]
-            expected = [o.observation for o in outcomes]
-            assert reward.tolist() == [o.reward for o in outcomes]
+        noise = np.stack([np.random.default_rng(s).random(3 + 5 * steps) for s in seeds])
+        for delay in range(5):
+            cfg = lossy_cfg(delay=delay, horizon=steps)
+            actions = np.random.default_rng(delay).integers(len(ACTIONS), size=(steps, len(seeds)))
+            batch = BatchGeEnv(cfg)
+            envs = [RohcEnv(cfg) for _ in seeds]
+            got = batch.reset(noise[:, :3])
+            want = [env.reset(s) for env, s in zip(envs, seeds)]
+            assert_rows_equal(got, want, Observation._fields, f"d={delay} reset")
+            for t in range(steps):
+                got = batch.step(actions[t], noise[:, 3 + 5 * t : 8 + 5 * t])
+                want = [env.step(ACTIONS[a]) for env, a in zip(envs, actions[t])]
+                where = f"d={delay} slot {t}"
+                assert_rows_equal(
+                    got.observation, [o.observation for o in want], Observation._fields, where
+                )
+                assert_rows_equal(got, want, StepOutcome._fields[1:], where)
 
     def test_rejects_fading_channel(self):
         cfg = EnvConfig(
@@ -464,13 +473,10 @@ class ReferenceEnv:
         z_d = self._level if fb_request.request_feedback else NO_FEEDBACK
         z_t = observe_transmission(tx_ok, cfg.noise.eps_t, rng)
         obs = Observation(z_t, z_h, z_d, tuple(self._src_window))
-        diagnostics = StepDiagnostics(
-            success, applied.header, self._level, tx_ok, src_bit, int(evicted.request_feedback)
+        return StepOutcome(
+            obs, reward, success, applied.header, self._level, tx_ok, src_bit,
+            int(evicted.request_feedback),
         )
-        return StepOutcome(obs, reward, diagnostics)
-
-
-OBSERVATION_FIELDS = ("z_t", "z_h", "z_d", "source_window")
 
 
 def assert_same_fields(got, want, names, where):
@@ -514,13 +520,12 @@ class TestScalarEnvMatchesReference:
     @given(cfg=env_configs(), seed=st.integers(0, 2**32 - 1))
     def test_outcomes_and_stream_equal_reference(self, cfg, seed):
         env, ref = RohcEnv(cfg), ReferenceEnv(cfg)
-        assert_same_fields(env.reset(seed), ref.reset(seed), OBSERVATION_FIELDS, "reset")
+        assert_same_fields(env.reset(seed), ref.reset(seed), Observation._fields, "reset")
         actions = np.random.default_rng(seed + 1).integers(len(ACTIONS), size=cfg.horizon)
         for t, index in enumerate(actions):
             got, want = env.step(ACTIONS[index]), ref.step(ACTIONS[index])
             where = f"slot {t}"
-            assert_same_fields(got.observation, want.observation, OBSERVATION_FIELDS, where)
-            assert_same_fields(got, want, ("reward",), where)
-            assert_same_fields(got.diagnostics, want.diagnostics, StepDiagnostics._fields, where)
+            assert_same_fields(got.observation, want.observation, Observation._fields, where)
+            assert_same_fields(got, want, StepOutcome._fields[1:], where)
         # the generator ends the episode where one draw per use leaves it
         assert env._rng.random() == ref._rng.random()

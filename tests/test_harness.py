@@ -642,7 +642,10 @@ class TestCli:
         assert f"adapt.schedule is set, but {command} ignores it" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key,value", [("run.trace", "t.csv"), ("run.checkpoint", "/nonexistent/q")])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("run.trace", "t.csv"), ("run.checkpoint", "/nonexistent/q"), ("run.policy", "kt")],
+    )
     @pytest.mark.parametrize("command", ["train", "sweep", "adapt"])
     def test_eval_only_keys_refused(self, tmp_path, capsys, command, key, value):
         cfg = self.write_fast(tmp_path, f"run.m = 1\nenv.t = 30\n{key} = {value}\n")
@@ -693,6 +696,13 @@ class TestCli:
         out = tmp_path / "adapt.csv"
         assert cli.main(["adapt", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3  # header + 2 episodes
+
+    def test_adapt_refuses_a_repeated_schedule_episode(self, tmp_path, capsys):
+        cfg = self.write_fast(tmp_path, "run.m = 3\nenv.t = 30\nadapt.schedule = 1:0.3,1:0.4\n")
+        out = tmp_path / "adapt.csv"
+        assert cli.main(["adapt", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "adapt.schedule lists episode 1 more than once" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeat_run_is_byte_identical(self, tmp_path):
         outputs = []
